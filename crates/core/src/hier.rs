@@ -8,8 +8,12 @@
 //! large page are ordered by their own access timestamps. Eviction
 //! candidates are therefore *basic blocks*: the LRU block of the LRU
 //! large page.
-
-use std::collections::HashMap;
+//!
+//! Every per-block and per-large-page table is a `Vec` indexed by the
+//! id's raw index (ids are dense, see [`crate::DenseIndex`]), and
+//! each large page's block queue is keyed by the block's offset inside
+//! the large page (`0..32`), so an access costs two dense recency-list
+//! touches and no hashing.
 
 use uvm_types::{BasicBlockId, LargePageId, PageId};
 
@@ -35,23 +39,39 @@ use crate::lru::LruQueue;
 pub struct HierarchicalLru {
     /// Large pages, LRU-ordered by chunk access time.
     large_pages: LruQueue<LargePageId>,
-    /// Per large page: its resident basic blocks, LRU-ordered.
-    blocks: HashMap<LargePageId, LruQueue<BasicBlockId>>,
-    /// Resident pages per basic block.
-    pages_per_block: HashMap<BasicBlockId, u32>,
-    /// Resident pages per large page, maintained incrementally so the
-    /// candidate scans can skip a whole large page in O(1) instead of
-    /// re-summing its blocks (the TBN-family policies call
-    /// [`candidate`](Self::candidate) on every eviction).
-    lp_pages: HashMap<LargePageId, u64>,
+    /// Indexed by large page: its resident basic blocks, LRU-ordered
+    /// and keyed by [`BasicBlockId::offset_in_large_page`].
+    blocks: Vec<LruQueue<u64>>,
+    /// Indexed by basic block: its resident pages (0 = untracked).
+    pages_per_block: Vec<u32>,
+    /// Indexed by large page: its resident pages, maintained
+    /// incrementally so the candidate scans can skip a whole large page
+    /// in O(1) instead of re-summing its blocks (the TBN-family
+    /// policies call [`candidate`](Self::candidate) on every eviction).
+    lp_pages: Vec<u64>,
     /// Total resident pages tracked.
     total_pages: u64,
+}
+
+/// `table[i]`, growing `table` with defaults to reach it.
+fn grow_to<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 impl HierarchicalLru {
     /// Creates an empty list.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Moves `bb` (and its large page `lp`) to the MRU end of their
+    /// orders, inserting them if absent.
+    fn touch(&mut self, lp: LargePageId, bb: BasicBlockId) {
+        self.large_pages.touch(lp);
+        grow_to(&mut self.blocks, lp.index() as usize).touch(bb.offset_in_large_page());
     }
 
     /// Registers `page` as newly valid (migrated). Sec. 5.3: pages are
@@ -62,10 +82,9 @@ impl HierarchicalLru {
     pub fn on_validate(&mut self, page: PageId) {
         let bb = page.basic_block();
         let lp = page.large_page();
-        self.large_pages.touch(lp);
-        self.blocks.entry(lp).or_default().touch(bb);
-        *self.pages_per_block.entry(bb).or_insert(0) += 1;
-        *self.lp_pages.entry(lp).or_insert(0) += 1;
+        self.touch(lp, bb);
+        *grow_to(&mut self.pages_per_block, bb.index() as usize) += 1;
+        *grow_to(&mut self.lp_pages, lp.index() as usize) += 1;
         self.total_pages += 1;
     }
 
@@ -79,12 +98,10 @@ impl HierarchicalLru {
     /// [`candidate`](Self::candidate) relies on.
     pub fn on_access(&mut self, page: PageId) {
         let bb = page.basic_block();
-        if !self.pages_per_block.contains_key(&bb) {
+        if self.block_pages(bb) == 0 {
             return;
         }
-        let lp = page.large_page();
-        self.large_pages.touch(lp);
-        self.blocks.entry(lp).or_default().touch(bb);
+        self.touch(page.large_page(), bb);
     }
 
     /// Removes one page of `block` from the accounting (the page was
@@ -94,25 +111,19 @@ impl HierarchicalLru {
         let bb = page.basic_block();
         let count = self
             .pages_per_block
-            .get_mut(&bb)
+            .get_mut(bb.index() as usize)
+            .filter(|c| **c > 0)
             .expect("invalidate of untracked page");
         *count -= 1;
+        let block_emptied = *count == 0;
         self.total_pages -= 1;
         let lp = bb.large_page();
-        let lp_count = self
-            .lp_pages
-            .get_mut(&lp)
-            .expect("invalidate of untracked large page");
-        *lp_count -= 1;
-        if *lp_count == 0 {
-            self.lp_pages.remove(&lp);
-        }
-        if *count == 0 {
-            self.pages_per_block.remove(&bb);
-            if let Some(q) = self.blocks.get_mut(&lp) {
-                q.remove(&bb);
+        let li = lp.index() as usize;
+        self.lp_pages[li] -= 1;
+        if block_emptied {
+            if let Some(q) = self.blocks.get_mut(li) {
+                q.remove(&bb.offset_in_large_page());
                 if q.is_empty() {
-                    self.blocks.remove(&lp);
                     self.large_pages.remove(&lp);
                 }
             }
@@ -125,8 +136,17 @@ impl HierarchicalLru {
     }
 
     /// Resident pages of `block`.
+    #[inline]
     pub fn block_pages(&self, block: BasicBlockId) -> u32 {
-        self.pages_per_block.get(&block).copied().unwrap_or(0)
+        self.pages_per_block
+            .get(block.index() as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Resident pages of `lp`.
+    fn lp_total(&self, lp: LargePageId) -> u64 {
+        self.lp_pages.get(lp.index() as usize).copied().unwrap_or(0)
     }
 
     /// Picks the eviction-candidate basic block: the least-recently
@@ -139,22 +159,19 @@ impl HierarchicalLru {
         mut eligible: impl FnMut(BasicBlockId) -> bool,
     ) -> Option<BasicBlockId> {
         let mut skipped = 0u64;
-        for lp in self.large_pages.iter() {
-            let Some(blocks) = self.blocks.get(lp) else {
-                continue;
-            };
+        for &lp in self.large_pages.iter() {
             // Whole-large-page skip: if even the last block of this
             // large page falls inside the reservation, no block in it
             // can be a candidate (every resident block holds >= 1 page,
             // so the per-block walk below would skip each one). Exact,
             // because the per-block walk only tests `eligible` once
             // `skipped` reaches `reserve_pages`.
-            let lp_total = self.lp_pages.get(lp).copied().unwrap_or(0);
+            let lp_total = self.lp_total(lp);
             if skipped + lp_total <= reserve_pages {
                 skipped += lp_total;
                 continue;
             }
-            for &bb in blocks.iter() {
+            for bb in self.blocks_of(lp) {
                 let pages = u64::from(self.block_pages(bb));
                 if skipped < reserve_pages {
                     skipped += pages;
@@ -177,7 +194,7 @@ impl HierarchicalLru {
     ) -> Option<LargePageId> {
         let mut skipped = 0u64;
         for &lp in self.large_pages.iter() {
-            let pages = self.lp_pages.get(&lp).copied().unwrap_or(0);
+            let pages = self.lp_total(lp);
             if skipped < reserve_pages {
                 skipped += pages;
                 continue;
@@ -191,34 +208,35 @@ impl HierarchicalLru {
 
     /// Resident basic blocks of `lp` in LRU order.
     pub fn blocks_of(&self, lp: LargePageId) -> impl Iterator<Item = BasicBlockId> + '_ {
+        let first = lp.first_basic_block();
         self.blocks
-            .get(&lp)
+            .get(lp.index() as usize)
             .into_iter()
-            .flat_map(|q| q.iter().copied())
+            .flat_map(move |q| q.iter().map(move |&off| first.add(off)))
     }
 
     /// Serializes the hierarchy for a checkpoint: the large-page queue
     /// in LRU→MRU order, each large page's block queue in LRU→MRU
-    /// order, and the per-block page counts (sorted, for a canonical
-    /// encoding).
+    /// order, and the per-block page counts in ascending block order
+    /// (a canonical encoding).
     pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
         w.put_usize(self.large_pages.len());
         for &lp in self.large_pages.iter() {
             w.put_u64(lp.index());
-            let blocks = self.blocks.get(&lp);
-            w.put_usize(blocks.map_or(0, |q| q.len()));
-            if let Some(q) = blocks {
-                for &bb in q.iter() {
-                    w.put_u64(bb.index());
-                }
+            w.put_usize(self.blocks.get(lp.index() as usize).map_or(0, |q| q.len()));
+            for bb in self.blocks_of(lp) {
+                w.put_u64(bb.index());
             }
         }
-        let mut counts: Vec<(BasicBlockId, u32)> =
-            self.pages_per_block.iter().map(|(&b, &c)| (b, c)).collect();
-        counts.sort_unstable_by_key(|(b, _)| *b);
-        w.put_usize(counts.len());
-        for (bb, count) in counts {
-            w.put_u64(bb.index());
+        let counts = || {
+            self.pages_per_block
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+        };
+        w.put_usize(counts().count());
+        for (bb, &count) in counts() {
+            w.put_u64(bb as u64);
             w.put_u32(count);
         }
         w.put_u64(self.total_pages);
@@ -235,19 +253,19 @@ impl HierarchicalLru {
             let lp = LargePageId::new(r.get_u64()?);
             h.large_pages.touch(lp);
             let nb = r.get_usize()?;
-            let q = h.blocks.entry(lp).or_default();
+            let q = grow_to(&mut h.blocks, lp.index() as usize);
             for _ in 0..nb {
-                q.touch(BasicBlockId::new(r.get_u64()?));
+                q.touch(BasicBlockId::new(r.get_u64()?).offset_in_large_page());
             }
         }
         let nc = r.get_usize()?;
         for _ in 0..nc {
             let bb = BasicBlockId::new(r.get_u64()?);
             let count = r.get_u32()?;
-            h.pages_per_block.insert(bb, count);
+            *grow_to(&mut h.pages_per_block, bb.index() as usize) = count;
             // `lp_pages` is derived data, rebuilt here rather than
             // serialized so the checkpoint byte format is unchanged.
-            *h.lp_pages.entry(bb.large_page()).or_insert(0) += u64::from(count);
+            *grow_to(&mut h.lp_pages, bb.large_page().index() as usize) += u64::from(count);
         }
         h.total_pages = r.get_u64()?;
         Ok(h)
@@ -401,11 +419,8 @@ mod tests {
     /// either scan returns.
     fn naive_candidate(h: &HierarchicalLru, reserve_pages: u64) -> Option<BasicBlockId> {
         let mut skipped = 0u64;
-        for lp in h.large_pages.iter() {
-            let Some(blocks) = h.blocks.get(lp) else {
-                continue;
-            };
-            for &bb in blocks.iter() {
+        for &lp in h.large_pages.iter() {
+            for bb in h.blocks_of(lp) {
                 let pages = u64::from(h.block_pages(bb));
                 if skipped < reserve_pages {
                     skipped += pages;
@@ -420,11 +435,7 @@ mod tests {
     fn naive_candidate_large_page(h: &HierarchicalLru, reserve_pages: u64) -> Option<LargePageId> {
         let mut skipped = 0u64;
         for &lp in h.large_pages.iter() {
-            let pages: u64 = h
-                .blocks
-                .get(&lp)
-                .map(|q| q.iter().map(|&b| u64::from(h.block_pages(b))).sum())
-                .unwrap_or(0);
+            let pages: u64 = h.blocks_of(lp).map(|b| u64::from(h.block_pages(b))).sum();
             if skipped < reserve_pages {
                 skipped += pages;
                 continue;

@@ -87,7 +87,7 @@ pub use gmmu::AuditError;
 pub use gmmu::{FaultResolution, Gmmu};
 pub use hier::HierarchicalLru;
 pub use indexed::IndexedPageSet;
-pub use lru::LruQueue;
+pub use lru::{DenseIndex, LruQueue};
 pub use policy::{EvictPolicy, ParsePolicyError, PrefetchPolicy};
 pub use prefetch::{LearnedPrefetcher, MarkovPrefetcher, MosaicPrefetcher, Prefetcher};
 pub use registry::{EvictorEntry, ParamSpec, PolicyError, PolicyRegistry, PrefetcherEntry};

@@ -1,12 +1,51 @@
-//! LRU bookkeeping: a generic recency queue plus the hierarchical
-//! (large-page → basic-block) ordering used by the pre-eviction
-//! policies (paper Sec. 5.3).
+//! LRU bookkeeping: the generic recency queue behind every eviction
+//! policy's recency list (directly for LRU-4KB, and twice over in the
+//! hierarchical Sec. 5.3 ordering of [`crate::HierarchicalLru`]), and
+//! the [`DenseIndex`] keys its slot table is indexed by.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use uvm_types::{BasicBlockId, LargePageId, PageId};
 
-/// Sentinel slot index for "no neighbour".
+/// Sentinel slot index for "no neighbour" / "not queued".
 const NIL: u32 = u32::MAX;
+
+/// A key with a small, dense integer index.
+///
+/// The bump allocator hands out virtual addresses from zero
+/// ([`crate::Allocations`]), so the page, basic-block and
+/// large-page ids a simulation touches form a short dense range and
+/// can index a plain `Vec` instead of a hash map.
+pub trait DenseIndex: Copy {
+    /// The key's position in a dense table.
+    fn dense_index(self) -> usize;
+}
+
+impl DenseIndex for PageId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+}
+
+impl DenseIndex for BasicBlockId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+}
+
+impl DenseIndex for LargePageId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self.index() as usize
+    }
+}
+
+impl DenseIndex for u64 {
+    #[inline]
+    fn dense_index(self) -> usize {
+        self as usize
+    }
+}
 
 /// One element of the intrusive recency list.
 #[derive(Clone, Debug)]
@@ -20,26 +59,26 @@ struct Slot<K> {
 /// traversal from least- to most-recently used.
 ///
 /// Internally an intrusive doubly-linked list over a slab of slots,
-/// indexed by a `key -> slot` hash map — the same layout as the
-/// per-SM TLB. Every simulated memory access touches an evictor
-/// recency list (often two, for the hierarchical policies), so the
-/// earlier `BTreeMap`-by-stamp representation's O(log n) touch with
-/// its node allocations was one of the largest line items of the
-/// engine hot path. Recency order is the only observable: iteration,
-/// `peek_*`, and the checkpoint encoding are all defined purely by
-/// list position, so the two representations are drop-in
-/// schedule-identical.
+/// found through a dense `key -> slot` table indexed by
+/// [`DenseIndex::dense_index`]. Every simulated memory access touches
+/// an evictor recency list (often two, for the hierarchical policies),
+/// so the lookup is a bounds-checked `Vec` read rather than a hash.
+/// The table grows only to the highest key index ever queued. Recency
+/// order is the only observable: iteration, `peek_lru`, and the
+/// checkpoint encoding are all defined purely by list position, never
+/// by slot or table layout.
 ///
 /// # Examples
 ///
 /// ```
 /// use uvm_core::LruQueue;
+/// use uvm_types::PageId;
 ///
 /// let mut lru = LruQueue::new();
-/// lru.touch("a");
-/// lru.touch("b");
-/// lru.touch("a"); // refresh
-/// assert_eq!(lru.peek_lru(), Some(&"b"));
+/// lru.touch(PageId::new(1));
+/// lru.touch(PageId::new(2));
+/// lru.touch(PageId::new(1)); // refresh
+/// assert_eq!(lru.peek_lru(), Some(&PageId::new(2)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LruQueue<K> {
@@ -47,103 +86,97 @@ pub struct LruQueue<K> {
     slots: Vec<Slot<K>>,
     /// Indices of vacant slots in `slots`.
     free: Vec<u32>,
-    /// key -> its slot index.
-    index: HashMap<K, u32>,
+    /// Dense key index -> its slot index (`NIL` when absent).
+    index: Vec<u32>,
+    /// Number of queued keys.
+    len: usize,
     /// LRU end of the list (`NIL` when empty).
     head: u32,
     /// MRU end of the list (`NIL` when empty).
     tail: u32,
 }
 
-impl<K: Clone + Eq + Hash> Default for LruQueue<K> {
+impl<K: DenseIndex> Default for LruQueue<K> {
     fn default() -> Self {
         LruQueue {
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
         }
     }
 }
 
-impl<K: Clone + Eq + Hash> LruQueue<K> {
+impl<K: DenseIndex> LruQueue<K> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// The slot holding `key`, or `NIL`.
+    #[inline]
+    fn slot_of(&self, key: K) -> u32 {
+        self.index.get(key.dense_index()).copied().unwrap_or(NIL)
+    }
+
     /// Inserts `key` at the MRU end, or refreshes it if present.
     pub fn touch(&mut self, key: K) {
-        if let Some(&slot) = self.index.get(&key) {
-            self.unlink(slot);
-            self.link_tail(slot);
+        let i = key.dense_index();
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NIL);
+        }
+        let slot = self.index[i];
+        if slot != NIL {
+            if slot != self.tail {
+                self.unlink(slot);
+                self.link_tail(slot);
+            }
             return;
         }
+        let node = Slot {
+            key,
+            prev: NIL,
+            next: NIL,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Slot {
-                    key: key.clone(),
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[s as usize] = node;
                 s
             }
             None => {
                 let s = u32::try_from(self.slots.len()).expect("LruQueue slot overflow");
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(node);
                 s
             }
         };
-        self.index.insert(key, slot);
+        self.index[i] = slot;
+        self.len += 1;
         self.link_tail(slot);
-    }
-
-    /// Inserts `key` at the MRU end only if absent (used for pages that
-    /// become valid without being accessed — Sec. 5.3's design choice).
-    pub fn insert_if_absent(&mut self, key: K) {
-        if !self.index.contains_key(&key) {
-            self.touch(key);
-        }
     }
 
     /// Removes `key`, returning `true` if it was present.
     pub fn remove(&mut self, key: &K) -> bool {
-        match self.index.remove(key) {
-            Some(slot) => {
-                self.unlink(slot);
-                self.free.push(slot);
-                true
-            }
-            None => false,
+        let slot = self.slot_of(*key);
+        if slot == NIL {
+            return false;
         }
+        self.index[key.dense_index()] = NIL;
+        self.len -= 1;
+        self.unlink(slot);
+        self.free.push(slot);
+        true
     }
 
     /// `true` if `key` is in the queue.
     pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+        self.slot_of(*key) != NIL
     }
 
     /// The least-recently-used element.
     pub fn peek_lru(&self) -> Option<&K> {
         (self.head != NIL).then(|| &self.slots[self.head as usize].key)
-    }
-
-    /// Removes and returns the least-recently-used element.
-    pub fn pop_lru(&mut self) -> Option<K> {
-        if self.head == NIL {
-            return None;
-        }
-        let slot = self.head;
-        let key = self.slots[slot as usize].key.clone();
-        self.unlink(slot);
-        self.free.push(slot);
-        self.index.remove(&key);
-        Some(key)
     }
 
     /// Iterates from least- to most-recently used.
@@ -159,20 +192,14 @@ impl<K: Clone + Eq + Hash> LruQueue<K> {
         })
     }
 
-    /// The `skip`-th least-recently-used element (0 = the LRU), used to
-    /// implement reservation of the top of the LRU list.
-    pub fn peek_nth(&self, skip: usize) -> Option<&K> {
-        self.iter().nth(skip)
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// `true` if the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Serializes the queue for a checkpoint: elements in LRU→MRU
@@ -239,36 +266,28 @@ impl<K: Clone + Eq + Hash> LruQueue<K> {
 mod tests {
     use super::*;
 
+    fn order(q: &LruQueue<u64>) -> Vec<u64> {
+        q.iter().copied().collect()
+    }
+
     #[test]
     fn touch_orders_by_recency() {
         let mut q = LruQueue::new();
-        q.touch(1);
+        q.touch(1u64);
         q.touch(2);
         q.touch(3);
         assert_eq!(q.peek_lru(), Some(&1));
         q.touch(1);
         assert_eq!(q.peek_lru(), Some(&2));
-        assert_eq!(q.pop_lru(), Some(2));
-        assert_eq!(q.pop_lru(), Some(3));
-        assert_eq!(q.pop_lru(), Some(1));
-        assert_eq!(q.pop_lru(), None);
-    }
-
-    #[test]
-    fn insert_if_absent_preserves_position() {
-        let mut q = LruQueue::new();
-        q.touch("x");
-        q.touch("y");
-        q.insert_if_absent("x"); // must NOT refresh x
-        assert_eq!(q.peek_lru(), Some(&"x"));
-        q.insert_if_absent("z");
-        assert_eq!(q.len(), 3);
+        assert_eq!(order(&q), vec![2, 3, 1]);
+        q.touch(1); // already MRU: no-op
+        assert_eq!(order(&q), vec![2, 3, 1]);
     }
 
     #[test]
     fn remove_and_contains() {
         let mut q = LruQueue::new();
-        q.touch(10);
+        q.touch(10u64);
         q.touch(20);
         assert!(q.contains(&10));
         assert!(q.remove(&10));
@@ -276,27 +295,18 @@ mod tests {
         assert!(!q.remove(&10));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        // Keys beyond the grown table are simply absent.
+        assert!(!q.contains(&1_000));
+        assert!(!q.remove(&1_000));
     }
 
     #[test]
     fn iteration_order_lru_to_mru() {
         let mut q = LruQueue::new();
-        for i in [5, 3, 9, 3] {
+        for i in [5u64, 3, 9, 3] {
             q.touch(i);
         }
-        let order: Vec<_> = q.iter().copied().collect();
-        assert_eq!(order, vec![5, 9, 3]);
-    }
-
-    #[test]
-    fn peek_nth_skips_reserved_prefix() {
-        let mut q = LruQueue::new();
-        for i in 0..10 {
-            q.touch(i);
-        }
-        assert_eq!(q.peek_nth(0), Some(&0));
-        assert_eq!(q.peek_nth(3), Some(&3));
-        assert_eq!(q.peek_nth(10), None);
+        assert_eq!(order(&q), vec![5, 9, 3]);
     }
 
     #[test]
@@ -304,7 +314,7 @@ mod tests {
         // Interleaved removes and touches force slab reuse; order must
         // stay exactly recency order throughout.
         let mut q = LruQueue::new();
-        for i in 0..8 {
+        for i in 0..8u64 {
             q.touch(i);
         }
         assert!(q.remove(&3));
@@ -313,15 +323,16 @@ mod tests {
         q.touch(1); // refresh
         assert!(q.remove(&7));
         q.touch(10);
-        let order: Vec<_> = q.iter().copied().collect();
-        assert_eq!(order, vec![2, 4, 5, 6, 9, 1, 10]);
+        let expected = vec![2, 4, 5, 6, 9, 1, 10];
+        assert_eq!(order(&q), expected);
         assert_eq!(q.len(), 7);
-        // Drain fully via pop_lru in the same order.
+        // Drain fully from the LRU end in the same order.
         let mut drained = Vec::new();
-        while let Some(k) = q.pop_lru() {
+        while let Some(&k) = q.peek_lru() {
+            assert!(q.remove(&k));
             drained.push(k);
         }
-        assert_eq!(drained, order);
+        assert_eq!(drained, expected);
         assert!(q.is_empty());
     }
 }

@@ -2,13 +2,16 @@
 //! full binary tree (TBNp/TBNe), the LRU structures, and the GMMU
 //! driver. Driven by seeded `SmallRng` case loops.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use uvm_core::{
     AllocTree, Allocations, EvictPolicy, Gmmu, HierarchicalLru, LruQueue, PrefetchPolicy, UvmConfig,
 };
+use uvm_types::codec::{ByteReader, ByteWriter};
 use uvm_types::rng::{Rng, SmallRng};
-use uvm_types::{BasicBlockId, Bytes, Cycle, PageId, TreeExtent, PAGES_PER_BASIC_BLOCK};
+use uvm_types::{
+    BasicBlockId, Bytes, Cycle, LargePageId, PageId, TreeExtent, PAGES_PER_BASIC_BLOCK,
+};
 
 const CASES: usize = 256;
 
@@ -127,17 +130,11 @@ fn lru_queue_matches_reference_model() {
         let n = rng.gen_range(0usize..200);
         for _ in 0..n {
             let key = rng.gen_range(0u64..32);
-            match rng.gen_range(0u32..3) {
+            match rng.gen_range(0u32..2) {
                 0 => {
                     q.touch(key);
                     model.retain(|&k| k != key);
                     model.push(key);
-                }
-                1 => {
-                    q.insert_if_absent(key);
-                    if !model.contains(&key) {
-                        model.push(key);
-                    }
                 }
                 _ => {
                     let was = q.remove(&key);
@@ -192,6 +189,205 @@ fn hier_lru_accounting() {
                 }
                 None => assert!(resident.is_empty()),
             }
+        }
+    }
+}
+
+/// Naive reference for [`HierarchicalLru`]: large pages and, inside
+/// each, basic blocks in `Vec`s ordered LRU first, plus per-block page
+/// counts in a sorted map.
+#[derive(Default)]
+struct HierModel {
+    /// `(large page, its blocks LRU first)`, LRU large page first.
+    lps: Vec<(u64, Vec<u64>)>,
+    /// Resident pages per basic block (absent = 0).
+    counts: BTreeMap<u64, u32>,
+}
+
+impl HierModel {
+    fn touch(&mut self, page: PageId) {
+        let (lp, bb) = (page.large_page().index(), page.basic_block().index());
+        let mut blocks = match self.lps.iter().position(|(l, _)| *l == lp) {
+            Some(i) => self.lps.remove(i).1,
+            None => Vec::new(),
+        };
+        blocks.retain(|&b| b != bb);
+        blocks.push(bb);
+        self.lps.push((lp, blocks));
+    }
+
+    fn validate(&mut self, page: PageId) {
+        self.touch(page);
+        *self.counts.entry(page.basic_block().index()).or_insert(0) += 1;
+    }
+
+    fn access(&mut self, page: PageId) {
+        if self.counts.contains_key(&page.basic_block().index()) {
+            self.touch(page);
+        }
+    }
+
+    fn invalidate(&mut self, page: PageId) {
+        let bb = page.basic_block().index();
+        let count = self.counts.get_mut(&bb).unwrap();
+        *count -= 1;
+        if *count == 0 {
+            self.counts.remove(&bb);
+            let lp = page.large_page().index();
+            let i = self.lps.iter().position(|(l, _)| *l == lp).unwrap();
+            self.lps[i].1.retain(|&b| b != bb);
+            if self.lps[i].1.is_empty() {
+                self.lps.remove(i);
+            }
+        }
+    }
+
+    fn pages(&self, bb: u64) -> u64 {
+        u64::from(self.counts.get(&bb).copied().unwrap_or(0))
+    }
+
+    fn total(&self) -> u64 {
+        self.counts.values().map(|&c| u64::from(c)).sum()
+    }
+
+    fn candidate(&self, reserve: u64, eligible: impl Fn(u64) -> bool) -> Option<u64> {
+        let mut skipped = 0;
+        for (_, blocks) in &self.lps {
+            for &bb in blocks {
+                if skipped < reserve {
+                    skipped += self.pages(bb);
+                } else if eligible(bb) {
+                    return Some(bb);
+                }
+            }
+        }
+        None
+    }
+
+    fn candidate_large_page(&self, reserve: u64, eligible: impl Fn(u64) -> bool) -> Option<u64> {
+        let mut skipped = 0;
+        for (lp, blocks) in &self.lps {
+            if skipped < reserve {
+                skipped += blocks.iter().map(|&b| self.pages(b)).sum::<u64>();
+            } else if eligible(*lp) {
+                return Some(*lp);
+            }
+        }
+        None
+    }
+
+    /// The canonical checkpoint image: large pages LRU first, each
+    /// with its blocks LRU first, then per-block counts in ascending
+    /// block order, then the total.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_usize(self.lps.len());
+        for (lp, blocks) in &self.lps {
+            w.put_u64(*lp);
+            w.put_usize(blocks.len());
+            for &bb in blocks {
+                w.put_u64(bb);
+            }
+        }
+        w.put_usize(self.counts.len());
+        for (&bb, &count) in &self.counts {
+            w.put_u64(bb);
+            w.put_u32(count);
+        }
+        w.put_u64(self.total());
+        w.into_bytes()
+    }
+}
+
+/// HierarchicalLru matches the naive reference model step by step:
+/// both candidate scans under random reservations and eligibility
+/// masks, per-large-page block order, page accounting, and the
+/// checkpoint image (which must also survive `load_state` →
+/// `save_state` byte for byte).
+#[test]
+fn hier_lru_matches_reference_model() {
+    let mut rng = SmallRng::seed_from_u64(0xc0e6);
+    // Sparse large-page indices exercise dense-table growth and gaps.
+    const LPS: [u64; 4] = [0, 1, 3, 9];
+    for _ in 0..CASES {
+        let mut h = HierarchicalLru::new();
+        let mut model = HierModel::default();
+        let mut resident: Vec<PageId> = Vec::new();
+        let n = rng.gen_range(0usize..150);
+        for _ in 0..n {
+            let lp = LPS[rng.gen_range(0usize..LPS.len())];
+            let block = rng.gen_range(0u64..8) * 4;
+            let fresh = LargePageId::new(lp)
+                .first_page()
+                .add(block * PAGES_PER_BASIC_BLOCK + rng.gen_range(0u64..4));
+            match rng.gen_range(0u32..3) {
+                0 => {
+                    h.on_validate(fresh);
+                    model.validate(fresh);
+                    resident.push(fresh);
+                }
+                1 => {
+                    // Mostly resident pages; sometimes an untracked one,
+                    // which both sides must ignore.
+                    let p = if !resident.is_empty() && rng.gen_range(0u32..4) > 0 {
+                        resident[rng.gen_range(0usize..resident.len())]
+                    } else {
+                        fresh
+                    };
+                    h.on_access(p);
+                    model.access(p);
+                }
+                _ => {
+                    if !resident.is_empty() {
+                        let p = resident.swap_remove(rng.gen_range(0usize..resident.len()));
+                        h.on_invalidate_page(p);
+                        model.invalidate(p);
+                    }
+                }
+            }
+
+            assert_eq!(h.total_pages(), model.total());
+            for &lp in &LPS {
+                let order: Vec<u64> = h
+                    .blocks_of(LargePageId::new(lp))
+                    .map(|b| b.index())
+                    .collect();
+                let expected = model
+                    .lps
+                    .iter()
+                    .find(|(l, _)| *l == lp)
+                    .map_or(Vec::new(), |(_, b)| b.clone());
+                assert_eq!(order, expected, "blocks_of(lp{lp})");
+                let first = LargePageId::new(lp).first_basic_block();
+                for bb in (0..32).map(|off| first.add(off)) {
+                    assert_eq!(u64::from(h.block_pages(bb)), model.pages(bb.index()));
+                }
+            }
+            for _ in 0..3 {
+                let reserve = rng.gen_range(0u64..model.total() + 8);
+                let mask = rng.next_u64();
+                let keep = |i: u64| mask >> (i % 64) & 1 == 1;
+                assert_eq!(
+                    h.candidate(reserve, |b| keep(b.index())).map(|b| b.index()),
+                    model.candidate(reserve, keep),
+                    "candidate(reserve {reserve}, mask {mask:#x})"
+                );
+                assert_eq!(
+                    h.candidate_large_page(reserve, |l| keep(l.index()))
+                        .map(|l| l.index()),
+                    model.candidate_large_page(reserve, keep),
+                    "candidate_large_page(reserve {reserve}, mask {mask:#x})"
+                );
+            }
+
+            let mut w = ByteWriter::new();
+            h.save_state(&mut w);
+            let image = w.into_bytes();
+            assert_eq!(image, model.encode(), "checkpoint image");
+            let restored = HierarchicalLru::load_state(&mut ByteReader::new(&image)).unwrap();
+            let mut w = ByteWriter::new();
+            restored.save_state(&mut w);
+            assert_eq!(w.into_bytes(), image, "load_state -> save_state round trip");
         }
     }
 }
