@@ -1,8 +1,9 @@
 //! LRU-2MB: static large-page eviction (paper Sec. 7.5).
 
 use uvm_types::rng::SmallRng;
-use uvm_types::{BasicBlockId, Cycle, PageId};
+use uvm_types::{Cycle, PageId};
 
+use crate::groups::PageGroups;
 use crate::hier::HierarchicalLru;
 use crate::view::ResidencyView;
 
@@ -50,26 +51,24 @@ impl Evictor for LruLargeEvictor {
         _rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
+        victims: &mut PageGroups,
+    ) {
         let reserve = (view.reserve_frac() * self.hier.total_pages() as f64).floor() as u64;
         let hier = &self.hier;
         let mut evictable = |lp| {
             hier.blocks_of(lp)
                 .any(|b| view.block_evictable(b, t, max_pin))
         };
-        let lp = hier
+        let Some(lp) = hier
             .candidate_large_page(reserve, &mut evictable)
-            .or_else(|| hier.candidate_large_page(0, &mut evictable))?;
-        let blocks: Vec<BasicBlockId> = self.hier.blocks_of(lp).collect();
-        let pages: Vec<PageId> = blocks
-            .into_iter()
-            .flat_map(|b| view.evictable_pages_of_block(b, t, max_pin))
-            .collect();
-        if pages.is_empty() {
-            None
-        } else {
-            Some(vec![pages])
+            .or_else(|| hier.candidate_large_page(0, &mut evictable))
+        else {
+            return;
+        };
+        for b in hier.blocks_of(lp) {
+            view.evictable_pages_of_block(b, t, max_pin, victims);
         }
+        victims.end_group();
     }
 
     fn box_clone(&self) -> Box<dyn Evictor> {

@@ -3,6 +3,7 @@
 use uvm_types::rng::SmallRng;
 use uvm_types::{Cycle, PageId};
 
+use crate::groups::PageGroups;
 use crate::lru::LruQueue;
 use crate::view::ResidencyView;
 
@@ -71,8 +72,9 @@ impl Evictor for LruPageEvictor {
         _rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
-        self.pick(view, t, max_pin).map(|p| vec![vec![p]])
+        victims: &mut PageGroups,
+    ) {
+        victims.push_group(self.pick(view, t, max_pin));
     }
 
     fn box_clone(&self) -> Box<dyn Evictor> {

@@ -31,6 +31,7 @@ use std::fmt;
 use uvm_types::rng::SmallRng;
 use uvm_types::{Cycle, LargePageId, PageId};
 
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 /// An eviction policy: chooses victim pages when the device memory
@@ -38,11 +39,12 @@ use crate::view::ResidencyView;
 ///
 /// Contract:
 ///
-/// * [`select_victims`](Self::select_victims) returns *write-back
-///   groups*: each inner `Vec` is written back as one PCI-e transfer.
-///   Every returned page must be resident with pin level at most
-///   `max_pin` at `t` (query `view.pin_level`); the mechanism expels
-///   exactly what is returned.
+/// * [`select_victims`](Self::select_victims) appends *write-back
+///   groups* to a [`PageGroups`] the mechanism owns and hands over
+///   empty: each group is written back as one PCI-e transfer. Every
+///   appended page must be resident with pin level at most `max_pin`
+///   at `t` (query `view.pin_level`); the mechanism expels exactly
+///   what is appended, and appending nothing means no eligible victim.
 /// * The mechanism calls with `max_pin = PIN_NONE` first and falls
 ///   back to `PIN_SOFT`; hard-pinned demand pages are never victims.
 /// * The `on_*` hooks mirror the driver's page state transitions so a
@@ -75,15 +77,17 @@ pub trait Evictor: fmt::Debug + Send + Sync {
     /// A page was invalidated (evicted).
     fn on_invalidate(&mut self, _page: PageId) {}
 
-    /// Chooses the victim groups (each group = one write-back
-    /// transfer), or `None` if no eligible victim exists.
+    /// Appends the victim groups (each group = one write-back
+    /// transfer) to `victims`; leaves it empty if no eligible victim
+    /// exists.
     fn select_victims(
         &mut self,
         view: &ResidencyView<'_>,
         rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>>;
+        victims: &mut PageGroups,
+    );
 
     /// Huge-page splinter hook: consulted by the mechanism under
     /// memory pressure, *before* [`select_victims`](Self::select_victims),

@@ -1,8 +1,9 @@
 //! MOSe: the Mosaic-style splinter-then-evict policy.
 
 use uvm_types::rng::SmallRng;
-use uvm_types::{BasicBlockId, Cycle, LargePageId, PageId};
+use uvm_types::{Cycle, LargePageId, PageId};
 
+use crate::groups::PageGroups;
 use crate::hier::HierarchicalLru;
 use crate::view::ResidencyView;
 
@@ -97,25 +98,21 @@ impl Evictor for MosaicEvictor {
         _rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
-        let lp = self.victim_large_page(view, t, max_pin)?;
+        victims: &mut PageGroups,
+    ) {
+        let Some(lp) = self.victim_large_page(view, t, max_pin) else {
+            return;
+        };
         // LRU order within the large page: HierarchicalLru yields
         // blocks coldest-first.
-        let blocks: Vec<BasicBlockId> = self
+        for b in self
             .hier
             .blocks_of(lp)
             .filter(|&b| view.block_evictable(b, t, max_pin))
             .take(BLOCKS_PER_EVICTION)
-            .collect();
-        let groups: Vec<Vec<PageId>> = blocks
-            .into_iter()
-            .map(|b| view.evictable_pages_of_block(b, t, max_pin))
-            .filter(|pages| !pages.is_empty())
-            .collect();
-        if groups.is_empty() {
-            None
-        } else {
-            Some(groups)
+        {
+            view.evictable_pages_of_block(b, t, max_pin, victims);
+            victims.end_group();
         }
     }
 

@@ -3,6 +3,7 @@
 use uvm_types::rng::SmallRng;
 use uvm_types::{Cycle, PageId};
 
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 use super::Evictor;
@@ -46,8 +47,9 @@ impl Evictor for RandomPageEvictor {
         rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
-        self.pick(view, rng, t, max_pin).map(|p| vec![vec![p]])
+        victims: &mut PageGroups,
+    ) {
+        victims.push_group(self.pick(view, rng, t, max_pin));
     }
 
     fn box_clone(&self) -> Box<dyn Evictor> {

@@ -3,6 +3,7 @@
 use uvm_types::rng::SmallRng;
 use uvm_types::{Cycle, PageId};
 
+use crate::groups::PageGroups;
 use crate::hier::HierarchicalLru;
 use crate::view::ResidencyView;
 
@@ -51,13 +52,17 @@ impl Evictor for SlEvictor {
         _rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
+        victims: &mut PageGroups,
+    ) {
         let reserve = (view.reserve_frac() * self.hier.total_pages() as f64).floor() as u64;
         let hier = &self.hier;
-        let block = hier
+        if let Some(block) = hier
             .candidate(reserve, |b| view.block_evictable(b, t, max_pin))
-            .or_else(|| hier.candidate(0, |b| view.block_evictable(b, t, max_pin)))?;
-        Some(vec![view.evictable_pages_of_block(block, t, max_pin)])
+            .or_else(|| hier.candidate(0, |b| view.block_evictable(b, t, max_pin)))
+        {
+            view.evictable_pages_of_block(block, t, max_pin, victims);
+            victims.end_group();
+        }
     }
 
     fn box_clone(&self) -> Box<dyn Evictor> {

@@ -1,8 +1,9 @@
 //! TBNe: tree-based neighborhood pre-eviction (paper Sec. 5.2).
 
 use uvm_types::rng::SmallRng;
-use uvm_types::{Cycle, PageId};
+use uvm_types::{BasicBlockId, Cycle, PageId};
 
+use crate::groups::PageGroups;
 use crate::hier::HierarchicalLru;
 use crate::tree::group_contiguous;
 use crate::view::ResidencyView;
@@ -18,6 +19,12 @@ use super::Evictor;
 #[derive(Clone, Debug, Default)]
 pub struct TbnEvictor {
     hier: HierarchicalLru,
+    /// Working node counts for the tree's cascade plan. Reused across
+    /// evictions but carrying nothing between them, so `save_state`
+    /// skips it.
+    scratch: Vec<u32>,
+    /// The victim block plus its cascade, ascending (reused likewise).
+    blocks: Vec<BasicBlockId>,
 }
 
 impl TbnEvictor {
@@ -54,41 +61,37 @@ impl Evictor for TbnEvictor {
         _rng: &mut SmallRng,
         t: Cycle,
         max_pin: u8,
-    ) -> Option<Vec<Vec<PageId>>> {
-        let reserve = (view.reserve_frac() * self.hier.total_pages() as f64).floor() as u64;
-        let hier = &self.hier;
-        let victim = hier
+        victims: &mut PageGroups,
+    ) {
+        let TbnEvictor {
+            hier,
+            scratch,
+            blocks,
+        } = self;
+        let reserve = (view.reserve_frac() * hier.total_pages() as f64).floor() as u64;
+        let Some(victim) = hier
             .candidate(reserve, |b| view.block_evictable(b, t, max_pin))
-            .or_else(|| hier.candidate(0, |b| view.block_evictable(b, t, max_pin)))?;
-        let planned = view
+            .or_else(|| hier.candidate(0, |b| view.block_evictable(b, t, max_pin)))
+        else {
+            return;
+        };
+        blocks.clear();
+        if let Some(tree) = view
             .allocations()
             .find_by_page(victim.first_page())
             .and_then(|a| a.tree_for_block(victim))
-            .map(|tree| tree.plan_eviction(victim))
-            .unwrap_or_default();
-
-        let mut blocks = vec![victim];
-        blocks.extend(
-            planned
-                .into_iter()
-                .filter(|&b| view.block_evictable(b, t, max_pin) && self.hier.block_pages(b) > 0),
-        );
+        {
+            tree.plan_eviction_into(victim, scratch, blocks);
+        }
+        blocks.retain(|&b| view.block_evictable(b, t, max_pin) && hier.block_pages(b) > 0);
+        blocks.push(victim);
         blocks.sort_unstable_by_key(|b| b.index());
         blocks.dedup();
-        let runs = group_contiguous(&blocks);
-        let groups: Vec<Vec<PageId>> = runs
-            .into_iter()
-            .map(|(start, len)| {
-                (0..len)
-                    .flat_map(|i| view.evictable_pages_of_block(start.add(i), t, max_pin))
-                    .collect::<Vec<_>>()
-            })
-            .filter(|g| !g.is_empty())
-            .collect();
-        if groups.is_empty() {
-            None
-        } else {
-            Some(groups)
+        for (start, len) in group_contiguous(blocks) {
+            for i in 0..len {
+                view.evictable_pages_of_block(start.add(i), t, max_pin, victims);
+            }
+            victims.end_group();
         }
     }
 

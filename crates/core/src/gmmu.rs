@@ -33,7 +33,8 @@ use uvm_mem::{FrameAllocator, FrameId, PageTable};
 use uvm_types::hash::FxBuildHasher;
 use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::{
-    Bytes, Cycle, Duration, LargePageId, PageId, VirtAddr, PAGES_PER_LARGE_PAGE, PAGE_SIZE,
+    BasicBlockId, Bytes, Cycle, Duration, LargePageId, PageId, VirtAddr, PAGES_PER_LARGE_PAGE,
+    PAGE_SIZE,
 };
 
 use crate::alloc::{AllocId, Allocations};
@@ -41,28 +42,32 @@ use crate::config::UvmConfig;
 use crate::dense::{DensePageMap, DensePageSet};
 use crate::evict::Evictor;
 use crate::fault::{READ_CHANNEL_TAG, WRITE_CHANNEL_TAG};
+use crate::groups::PageGroups;
 use crate::indexed::IndexedPageSet;
 use crate::prefetch::Prefetcher;
 use crate::registry::PolicyRegistry;
 use crate::spec::PolicySpec;
 use crate::stats::UvmStats;
+use crate::tree::AllocTree;
 use crate::view::{ResidencyView, PIN_NONE, PIN_SOFT};
 
-/// The result of servicing one far-fault.
-#[derive(Clone, Debug)]
-pub struct FaultResolution {
+/// The result of servicing one far-fault. It borrows the driver's
+/// fault-service buffers, which the next migration reuses, so fault
+/// service allocates nothing once they are warm.
+#[derive(Clone, Copy, Debug)]
+pub struct FaultResolution<'a> {
     /// Every page migrated for this fault (the faulty page first) with
     /// the cycle at which its data is present in device memory.
-    pub ready: Vec<(PageId, Cycle)>,
+    pub ready: &'a [(PageId, Cycle)],
     /// Pages evicted to make room (the engine shoots down their TLB
     /// entries).
-    pub evicted: Vec<PageId>,
+    pub evicted: &'a [PageId],
     /// Cycle at which the driver finished handling this fault (the
     /// fault-handling window, before transfers complete).
     pub handled: Cycle,
 }
 
-impl FaultResolution {
+impl FaultResolution<'_> {
     /// Data-ready time of the faulty page itself.
     pub fn fault_page_ready(&self) -> Cycle {
         self.ready.first().expect("fault page always migrated").1
@@ -73,7 +78,7 @@ impl FaultResolution {
     /// shootdown directory (generation bump + holder-slot reclamation)
     /// rather than an all-TLB broadcast.
     pub fn shootdowns(&self) -> &[PageId] {
-        &self.evicted
+        self.evicted
     }
 }
 
@@ -102,9 +107,9 @@ struct HugeMapping {
 ///
 /// let mut gmmu = Gmmu::new(UvmConfig::default());
 /// let base = gmmu.malloc_managed(Bytes::mib(2));
-/// let res = gmmu.handle_fault(base.page(), Cycle::ZERO);
+/// let ready = gmmu.handle_fault(base.page(), Cycle::ZERO).fault_page_ready();
 /// assert!(gmmu.is_resident(base.page()));
-/// assert!(res.fault_page_ready() > Cycle::ZERO);
+/// assert!(ready > Cycle::ZERO);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Gmmu {
@@ -170,6 +175,67 @@ pub struct Gmmu {
     /// nothing, so runs without export stay bit-identical.
     fault_trace: Option<Vec<(Cycle, PageId)>>,
     stats: UvmStats,
+    buf: FaultBuffers,
+}
+
+/// The driver's fault-service buffers, cleared and refilled by every
+/// migration. No state survives from one fault to the next through
+/// them, so they are never serialized and a clone (an engine snapshot
+/// or fork) starts them empty.
+#[derive(Debug, Default)]
+struct FaultBuffers {
+    /// The prefetcher's plan for the current fault.
+    prefetch: PageGroups,
+    /// The evictor's victim groups for the current eviction operation.
+    victims: PageGroups,
+    /// `(page, data-ready cycle)` of every page the last migration
+    /// admitted, lent out as [`FaultResolution::ready`].
+    ready: Vec<(PageId, Cycle)>,
+    /// Every page the last fault evicted, lent out as
+    /// [`FaultResolution::evicted`].
+    evicted: Vec<PageId>,
+    /// Large pages the last migration touched (promotion candidates).
+    promote: Vec<LargePageId>,
+}
+
+impl Clone for FaultBuffers {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// Lends the policies a read-only [`ResidencyView`] of `$gmmu` while
+/// binding `&mut` borrows of the named policy-side fields, then
+/// evaluates `$body`:
+/// `with_view!(self, |view, evictor, rng| evictor.select_splinter(&view, rng, t))`.
+macro_rules! with_view {
+    ($gmmu:expr, |$view:ident $(, $field:ident)*| $body:expr) => {{
+        let lp_tracking = $gmmu.lp_tracking();
+        let Gmmu {
+            page_table,
+            allocs,
+            resident,
+            ready_at,
+            unaccessed_demand,
+            cfg,
+            huge_mapped,
+            lp_resident,
+            $($field,)*
+            ..
+        } = $gmmu;
+        let $view = ResidencyView::new(
+            page_table,
+            allocs,
+            resident,
+            ready_at,
+            unaccessed_demand,
+            cfg.reserve_frac,
+            huge_mapped,
+            lp_resident,
+            lp_tracking,
+        );
+        $body
+    }};
 }
 
 impl Gmmu {
@@ -238,6 +304,7 @@ impl Gmmu {
             huge_enabled,
             fault_trace: None,
             stats: UvmStats::new(),
+            buf: FaultBuffers::default(),
             cfg,
         }
     }
@@ -402,7 +469,7 @@ impl Gmmu {
     /// Panics if `page` is already resident, lies outside every managed
     /// allocation, or the device memory budget cannot accommodate the
     /// migration even after eviction.
-    pub fn handle_fault(&mut self, page: PageId, now: Cycle) -> FaultResolution {
+    pub fn handle_fault(&mut self, page: PageId, now: Cycle) -> FaultResolution<'_> {
         assert!(
             !self.page_table.is_valid(page),
             "far-fault on already-resident {page}"
@@ -453,12 +520,14 @@ impl Gmmu {
         }
         self.lanes[lane] = handled;
 
+        self.buf.ready.clear();
+        self.buf.evicted.clear();
+
         // Injected oversubscription pressure: with probability
         // `pressure_prob` a fault lands while the host runtime is
         // reclaiming memory, forcing emergency eviction down to the
         // plan's free-frame target before the fault proceeds. Only
         // meaningful under a finite device budget.
-        let mut evicted = Vec::new();
         if plan.pressure_prob > 0.0
             && self.cfg.capacity.is_some()
             && self.fault_rng.gen_bool(plan.pressure_prob)
@@ -469,8 +538,7 @@ impl Gmmu {
                 let Some((pages, _)) = self.evict_once(handled, now) else {
                     break;
                 };
-                self.stats.fault_injection.emergency_evictions += pages.len() as u64;
-                evicted.extend(pages);
+                self.stats.fault_injection.emergency_evictions += pages;
             }
         }
 
@@ -480,8 +548,7 @@ impl Gmmu {
         // Victim pinning is evaluated at the fault's *arrival* time:
         // state mutates now, so a page whose waiter has not yet been
         // able to replay (its data lands later) must stay protected.
-        let (demand_evicted, wb_barrier) = self.ensure_frames(1, handled, now);
-        evicted.extend(demand_evicted);
+        let wb_barrier = self.ensure_frames(1, handled, now);
 
         // The prefetcher fills only frames that are free after demand
         // eviction — aggressive prefetching that displaces resident
@@ -494,46 +561,16 @@ impl Gmmu {
         // is already outpacing the link.
         let backlog = self.read_chan.next_free().since(handled);
         let congested = backlog > self.cfg.prefetch_congestion_cap;
-        let mut prefetch = if self.prefetch_disabled || congested {
-            Vec::new()
-        } else {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                prefetcher,
-                rng,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
-            prefetcher.plan(&view, rng, page, alloc_id)
-        };
-        let mut room = self.frames.free_frames().saturating_sub(1);
-        for group in &mut prefetch {
-            let keep = (room as usize).min(group.len());
-            group.truncate(keep);
-            room -= keep as u64;
+        let mut prefetch = std::mem::take(&mut self.buf.prefetch);
+        prefetch.clear();
+        if !self.prefetch_disabled && !congested {
+            with_view!(self, |view, prefetcher, rng| {
+                prefetcher.plan(&view, rng, page, alloc_id, &mut prefetch)
+            });
         }
-        prefetch.retain(|g| !g.is_empty());
-        let prefetch_pages: usize = prefetch.iter().map(Vec::len).sum();
-        let needed = 1 + prefetch_pages as u64;
-        debug_assert!(needed <= self.frames.free_frames());
+        let room = self.frames.free_frames().saturating_sub(1);
+        prefetch.truncate(usize::try_from(room).unwrap_or(usize::MAX));
+        debug_assert!((prefetch.pages().len() as u64) < self.frames.free_frames());
 
         let mut migrate_from = handled;
         if let Some(barrier) = wb_barrier {
@@ -541,32 +578,27 @@ impl Gmmu {
         }
 
         // Fault group first (4 KB), then the prefetch groups.
-        let mut ready = Vec::with_capacity(needed as usize);
         let t = self.schedule_read(migrate_from, PAGE_SIZE);
-        self.admit_page(page, t, false);
-        ready.push((page, t));
+        self.admit(&[page], t, false);
         let mut last_finish = t;
-        for group in prefetch {
-            let size = PAGE_SIZE * group.len() as u64;
-            let t = self.schedule_read(migrate_from, size);
+        for group in prefetch.iter() {
+            let t = self.schedule_read(migrate_from, PAGE_SIZE * group.len() as u64);
             last_finish = last_finish.max(t);
-            for p in group {
-                self.admit_page(p, t, true);
-                ready.push((p, t));
-            }
+            self.admit(group, t, true);
         }
+        self.buf.prefetch = prefetch;
         // The fault is retired only once its migration completes: the
         // host runtime's lane stays occupied until the copy lands, so
         // fault admission throttles to PCI-e throughput instead of
         // racing unboundedly ahead of data arrival.
         self.lanes[lane] = self.lanes[lane].max(last_finish);
 
-        self.promote_candidates(&ready);
+        self.promote_candidates();
         self.sync_frame_stats();
         self.update_prefetch_kill_switch();
         FaultResolution {
-            ready,
-            evicted,
+            ready: &self.buf.ready,
+            evicted: &self.buf.evicted,
             handled,
         }
     }
@@ -596,20 +628,15 @@ impl Gmmu {
         } else {
             start.offset(size - Bytes::new(1)).page().index() + 1
         };
-        let mut ready = Vec::new();
+        self.buf.ready.clear();
+        self.buf.evicted.clear();
         let mut run: Vec<PageId> = Vec::new();
-        let flush = |gmmu: &mut Self, run: &mut Vec<PageId>, ready: &mut Vec<(PageId, Cycle)>| {
-            if run.is_empty() {
-                return;
-            }
+        let flush = |gmmu: &mut Self, run: &mut Vec<PageId>| {
             for chunk in run.chunks(PAGES_PER_LARGE_PAGE as usize) {
-                let (_, barrier) = gmmu.ensure_frames(chunk.len() as u64, now, now);
+                let barrier = gmmu.ensure_frames(chunk.len() as u64, now, now);
                 let at = barrier.map_or(now, |b| b.max(now));
                 let t = gmmu.schedule_read(at, PAGE_SIZE * chunk.len() as u64);
-                for &p in chunk {
-                    gmmu.admit_page(p, t, true);
-                    ready.push((p, t));
-                }
+                gmmu.admit(chunk, t, true);
             }
             run.clear();
         };
@@ -619,14 +646,14 @@ impl Gmmu {
             if in_alloc && !self.page_table.is_valid(page) {
                 run.push(page);
             } else {
-                flush(self, &mut run, &mut ready);
+                flush(self, &mut run);
             }
         }
-        flush(self, &mut run, &mut ready);
-        self.promote_candidates(&ready);
+        flush(self, &mut run);
+        self.promote_candidates();
         self.sync_frame_stats();
         self.update_prefetch_kill_switch();
-        ready
+        self.buf.ready.clone()
     }
 
     /// Driver-side statistics.
@@ -699,20 +726,15 @@ impl Gmmu {
     // Eviction mechanism
     // ------------------------------------------------------------------
 
-    /// Frees frames until `needed` are available at driver time `t`.
-    /// Returns the evicted pages and, for demand-eviction policies, the
-    /// write-back completion barrier the migration must wait for.
-    fn ensure_frames(
-        &mut self,
-        needed: u64,
-        wb_time: Cycle,
-        pin_time: Cycle,
-    ) -> (Vec<PageId>, Option<Cycle>) {
+    /// Frees frames until `needed` are available at driver time `t`,
+    /// appending every evicted page to the fault's evicted list.
+    /// Returns, for demand-eviction policies, the write-back completion
+    /// barrier the migration must wait for.
+    fn ensure_frames(&mut self, needed: u64, wb_time: Cycle, pin_time: Cycle) -> Option<Cycle> {
         assert!(
             needed <= self.frames.capacity_frames(),
             "migration of {needed} pages exceeds total device memory"
         );
-        let mut evicted = Vec::new();
         let mut barrier: Option<Cycle> = None;
         // Memory-threshold pre-eviction: keep the free-page buffer
         // topped up before anything else (Sec. 4.2). Buffer top-up is
@@ -721,14 +743,13 @@ impl Gmmu {
             let buffer =
                 (self.cfg.free_buffer_frac * self.frames.capacity_frames() as f64).ceil() as u64;
             while self.frames.free_frames() < buffer.max(needed) {
-                let Some((pages, _)) = self.evict_once(wb_time, pin_time) else {
+                if self.evict_once(wb_time, pin_time).is_none() {
                     break;
-                };
-                evicted.extend(pages);
+                }
             }
         }
         while self.frames.free_frames() < needed {
-            let Some((pages, wb_finish)) = self.evict_once(wb_time, pin_time) else {
+            let Some((_, wb_finish)) = self.evict_once(wb_time, pin_time) else {
                 panic!(
                     "cannot evict: every resident page is a demand page \
                      awaiting its faulting warp ({} resident, {} free, \
@@ -741,49 +762,23 @@ impl Gmmu {
             if !self.evictor.is_pre_eviction() {
                 barrier = Some(barrier.map_or(wb_finish, |b| b.max(wb_finish)));
             }
-            evicted.extend(pages);
         }
-        (evicted, barrier)
+        barrier
     }
 
     /// Runs one eviction operation: asks the policy for victim groups,
-    /// schedules their write-back, and invalidates them. Returns the
-    /// evicted pages and the write-back finish time, or `None` if no
-    /// victim is eligible.
-    fn evict_once(&mut self, wb_time: Cycle, pin_time: Cycle) -> Option<(Vec<PageId>, Cycle)> {
+    /// schedules their write-back, invalidates them, and appends them to
+    /// the fault's evicted list. Returns the number of pages evicted and
+    /// the write-back finish time, or `None` if no victim is eligible.
+    fn evict_once(&mut self, wb_time: Cycle, pin_time: Cycle) -> Option<(u64, Cycle)> {
         // Splinter before selecting victims (the Mosaic ordering): the
         // policy may demote one coalesced large page per eviction
         // operation so its pages become individually evictable without
         // a forced demotion.
         if !self.huge_mapped.is_empty() {
-            let splinter = {
-                let lp_tracking = self.lp_tracking();
-                let Gmmu {
-                    evictor,
-                    rng,
-                    page_table,
-                    allocs,
-                    resident,
-                    ready_at,
-                    unaccessed_demand,
-                    cfg,
-                    huge_mapped,
-                    lp_resident,
-                    ..
-                } = self;
-                let view = ResidencyView::new(
-                    page_table,
-                    allocs,
-                    resident,
-                    ready_at,
-                    unaccessed_demand,
-                    cfg.reserve_frac,
-                    huge_mapped,
-                    lp_resident,
-                    lp_tracking,
-                );
+            let splinter = with_view!(self, |view, evictor, rng| {
                 evictor.select_splinter(&view, rng, pin_time)
-            };
+            });
             if let Some(lp) = splinter {
                 if self.demote(lp) {
                     self.stats.huge_pages.splinters += 1;
@@ -793,45 +788,22 @@ impl Gmmu {
         // Prefer fully unpinned victims; fall back to soft-pinned
         // (in-flight prefetched) pages. Hard-pinned demand pages are
         // never victims.
-        let groups = {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                evictor,
-                rng,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
-            evictor
-                .select_victims(&view, rng, pin_time, PIN_NONE)
-                .or_else(|| evictor.select_victims(&view, rng, pin_time, PIN_SOFT))?
-        };
-        let mut all = Vec::new();
+        let mut victims = std::mem::take(&mut self.buf.victims);
+        victims.clear();
+        with_view!(self, |view, evictor, rng| {
+            evictor.select_victims(&view, rng, pin_time, PIN_NONE, &mut victims);
+            if victims.is_empty() {
+                evictor.select_victims(&view, rng, pin_time, PIN_SOFT, &mut victims);
+            }
+        });
         let mut finish = wb_time;
-        for group in groups {
+        for group in victims.iter() {
             if self.cfg.writeback_dirty_only {
                 // Ablation: transfer only the dirty pages, one transfer
                 // per contiguous dirty run — less write traffic, worse
                 // per-transfer bandwidth.
                 let mut run = 0u64;
-                for &p in &group {
+                for &p in group {
                     if self.page_table.flags(p).dirty {
                         run += 1;
                     } else if run > 0 {
@@ -852,104 +824,135 @@ impl Gmmu {
                 let wb = self.schedule_write(wb_time, size);
                 finish = finish.max(wb);
             }
-            for &p in &group {
-                self.expel_page(p);
-            }
-            all.extend(group);
+            self.expel(group);
+            self.buf.evicted.extend_from_slice(group);
         }
-        if all.is_empty() {
-            None
-        } else {
-            self.stats.evictions += 1;
-            Some((all, finish))
+        let pages = victims.pages().len() as u64;
+        self.buf.victims = victims;
+        if pages == 0 {
+            return None;
         }
+        self.stats.evictions += 1;
+        Some((pages, finish))
     }
 
     // ------------------------------------------------------------------
     // Page state transitions
     // ------------------------------------------------------------------
 
-    /// Makes `page` resident: allocates a frame, validates the PTE,
-    /// and registers it in every tracking structure (including the
-    /// eviction policy's bookkeeping and the shared TBN trees).
-    fn admit_page(&mut self, page: PageId, ready: Cycle, prefetched: bool) {
-        let frame = self.allocate_frame_for(page);
-        self.frame_of.insert(page, frame);
-        self.page_table.validate(page);
-        self.resident.insert(page);
-        self.evictor.on_validate(page);
-        self.ready_at.insert(page, ready);
-        if prefetched {
-            self.unaccessed_prefetch.insert(page);
-        } else {
-            self.unaccessed_demand.insert(page);
-        }
-        if let Some(alloc) = self.allocs.find_by_block_mut(page.basic_block()) {
-            if let Some(tree) = alloc.tree_for_block_mut(page.basic_block()) {
-                tree.add_pages(page.basic_block(), 1);
+    /// Makes every page of `group` resident with data arriving at
+    /// `ready`: allocates frames, validates PTEs, registers the pages
+    /// in every tracking structure (including the eviction policy's
+    /// bookkeeping), and records them in the migration's ready list.
+    ///
+    /// Per-page effects run page by page in group order. The shared
+    /// TBN trees and the per-large-page counts are only read by the
+    /// policies, never inside this loop, so they are bumped once per
+    /// run of same-block / same-large-page pages instead.
+    fn admit(&mut self, group: &[PageId], ready: Cycle, prefetched: bool) {
+        let lp_tracking = self.lp_tracking();
+        for lp_run in group.chunk_by(|a, b| a.large_page() == b.large_page()) {
+            for block_run in lp_run.chunk_by(|a, b| a.basic_block() == b.basic_block()) {
+                for &page in block_run {
+                    let frame = self.allocate_frame_for(page);
+                    self.frame_of.insert(page, frame);
+                    self.page_table.validate(page);
+                    self.resident.insert(page);
+                    self.evictor.on_validate(page);
+                    self.ready_at.insert(page, ready);
+                    if prefetched {
+                        self.unaccessed_prefetch.insert(page);
+                    } else {
+                        self.unaccessed_demand.insert(page);
+                    }
+                    if self.evicted_once.contains(page) {
+                        self.stats.pages_thrashed += 1;
+                    }
+                    self.buf.ready.push((page, ready));
+                }
+                let block = block_run[0].basic_block();
+                if let Some(tree) = self.tree_mut(block) {
+                    tree.add_pages(block, block_run.len() as u32);
+                }
+            }
+            if lp_tracking {
+                *self.lp_resident.entry(lp_run[0].large_page()).or_insert(0) += lp_run.len() as u32;
             }
         }
-        self.stats.pages_migrated += 1;
+        let pages = group.len() as u64;
+        self.stats.pages_migrated += pages;
         if prefetched {
-            self.stats.pages_prefetched += 1;
-        }
-        if self.evicted_once.contains(page) {
-            self.stats.pages_thrashed += 1;
-        }
-        if self.lp_tracking() {
-            *self.lp_resident.entry(page.large_page()).or_insert(0) += 1;
+            self.stats.pages_prefetched += pages;
         }
     }
 
-    /// Removes `page` from residency and every tracking structure.
-    fn expel_page(&mut self, page: PageId) {
-        let lp = page.large_page();
-        if self.huge_mapped.contains(&lp) {
-            // Eviction reached into a coalesced large page the policy
-            // did not splinter first: force the demotion (Mosaic's
-            // safety net — correctness never depends on the policy).
-            self.demote(lp);
-            self.stats.huge_pages.forced_splinters += 1;
-        }
-        let flags = self.page_table.invalidate(page);
-        assert!(flags.valid, "expel of non-resident {page}");
-        if !flags.dirty {
-            self.stats.clean_pages_written_back += 1;
-        }
-        if self.unaccessed_prefetch.remove(page) {
-            self.stats.prefetched_wasted += 1;
-        }
-        let frame = self
-            .frame_of
-            .remove(page)
-            .expect("resident page has a frame");
-        self.frames
-            .free(frame)
-            .expect("resident page owns a live frame");
-        self.resident.remove(page);
-        self.evictor.on_invalidate(page);
-        self.ready_at.remove(page);
-        self.unaccessed_demand.remove(page);
-        if let Some(alloc) = self.allocs.find_by_block_mut(page.basic_block()) {
-            if let Some(tree) = alloc.tree_for_block_mut(page.basic_block()) {
-                tree.remove_pages(page.basic_block(), 1);
+    /// Removes every page of `group` from residency and every tracking
+    /// structure, batching the tree and large-page bookkeeping per run
+    /// as [`admit`](Self::admit) does. A large page's soft region is
+    /// released at the end of the run that drains it — before the next
+    /// run frees a frame — so the allocator sees the per-page order.
+    fn expel(&mut self, group: &[PageId]) {
+        for lp_run in group.chunk_by(|a, b| a.large_page() == b.large_page()) {
+            let lp = lp_run[0].large_page();
+            if self.huge_mapped.contains(&lp) {
+                // Eviction reached into a coalesced large page the
+                // policy did not splinter first: force the demotion
+                // (Mosaic's safety net — correctness never depends on
+                // the policy).
+                self.demote(lp);
+                self.stats.huge_pages.forced_splinters += 1;
             }
-        }
-        self.evicted_once.insert(page);
-        self.stats.pages_evicted += 1;
-        if self.lp_tracking() {
-            if let Some(count) = self.lp_resident.get_mut(&lp) {
-                *count -= 1;
-                if *count == 0 {
-                    self.lp_resident.remove(&lp);
-                    // The large page drained: hand its soft-reserved
-                    // frame region back as one reusable 2 MB block.
-                    if let Some(base) = self.region_of.remove(&lp) {
-                        self.frames.release_region(base);
+            for block_run in lp_run.chunk_by(|a, b| a.basic_block() == b.basic_block()) {
+                for &page in block_run {
+                    let flags = self.page_table.invalidate(page);
+                    assert!(flags.valid, "expel of non-resident {page}");
+                    if !flags.dirty {
+                        self.stats.clean_pages_written_back += 1;
+                    }
+                    if self.unaccessed_prefetch.remove(page) {
+                        self.stats.prefetched_wasted += 1;
+                    }
+                    let frame = self
+                        .frame_of
+                        .remove(page)
+                        .expect("resident page has a frame");
+                    self.frames
+                        .free(frame)
+                        .expect("resident page owns a live frame");
+                    self.resident.remove(page);
+                    self.evictor.on_invalidate(page);
+                    self.ready_at.remove(page);
+                    self.unaccessed_demand.remove(page);
+                    self.evicted_once.insert(page);
+                }
+                let block = block_run[0].basic_block();
+                if let Some(tree) = self.tree_mut(block) {
+                    tree.remove_pages(block, block_run.len() as u32);
+                }
+            }
+            self.stats.pages_evicted += lp_run.len() as u64;
+            if self.lp_tracking() {
+                if let Some(count) = self.lp_resident.get_mut(&lp) {
+                    *count -= lp_run.len() as u32;
+                    if *count == 0 {
+                        self.lp_resident.remove(&lp);
+                        // The large page drained: hand its soft-reserved
+                        // frame region back as one reusable 2 MB block.
+                        if let Some(base) = self.region_of.remove(&lp) {
+                            self.frames.release_region(base);
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// The shared TBN tree covering `block`, if it lies inside a
+    /// managed allocation.
+    fn tree_mut(&mut self, block: BasicBlockId) -> Option<&mut AllocTree> {
+        self.allocs
+            .find_by_block_mut(block)?
+            .tree_for_block_mut(block)
     }
 
     // ------------------------------------------------------------------
@@ -992,17 +995,21 @@ impl Gmmu {
             .expect("ensure_frames guaranteed capacity")
     }
 
-    /// Considers every large page `ready` touched for promotion.
-    fn promote_candidates(&mut self, ready: &[(PageId, Cycle)]) {
+    /// Considers every large page the last migration touched for
+    /// promotion, in ascending order.
+    fn promote_candidates(&mut self) {
         if !self.huge_enabled {
             return;
         }
-        let mut lps: Vec<LargePageId> = ready.iter().map(|&(p, _)| p.large_page()).collect();
+        let mut lps = std::mem::take(&mut self.buf.promote);
+        lps.clear();
+        lps.extend(self.buf.ready.iter().map(|&(p, _)| p.large_page()));
         lps.sort_unstable();
         lps.dedup();
-        for lp in lps {
+        for &lp in &lps {
             self.maybe_promote(lp);
         }
+        self.buf.promote = lps;
     }
 
     /// Promotes `lp` to a single huge mapping if the mechanism's
@@ -1028,33 +1035,8 @@ impl Gmmu {
                 return;
             }
         }
-        let approved = {
-            let lp_tracking = self.lp_tracking();
-            let Gmmu {
-                prefetcher,
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg,
-                huge_mapped,
-                lp_resident,
-                ..
-            } = self;
-            let view = ResidencyView::new(
-                page_table,
-                allocs,
-                resident,
-                ready_at,
-                unaccessed_demand,
-                cfg.reserve_frac,
-                huge_mapped,
-                lp_resident,
-                lp_tracking,
-            );
-            prefetcher.should_coalesce(&view, lp)
-        };
+        let approved = with_view!(self, |view, prefetcher| prefetcher
+            .should_coalesce(&view, lp));
         if !approved {
             return;
         }
@@ -1531,10 +1513,19 @@ impl Gmmu {
             }
         }
         // The shared allocation trees are residency metadata: each
-        // block's valid count must equal its valid-PTE population.
+        // block's valid count must equal its valid-PTE population, and
+        // each inner node must hold the sum of its two children (the
+        // invariant batched per-block updates must keep).
         for alloc in self.allocs.iter() {
             for tree in alloc.trees() {
                 let extent = tree.extent();
+                for (node, have, sum) in tree.inner_node_mismatches() {
+                    violations.push(format!(
+                        "tree at block {} inner node {node} tracks {have} valid pages \
+                         but its children sum to {sum}",
+                        extent.first_block.index()
+                    ));
+                }
                 for b in 0..extent.num_blocks {
                     let block = extent.first_block.add(b);
                     let tracked = tree.block_valid_pages(block);
@@ -1626,12 +1617,13 @@ mod tests {
                 .with_fault_lanes(1),
         );
         let base = g.malloc_managed(Bytes::mib(2));
-        let r1 = g.handle_fault(base.page(), Cycle::ZERO);
+        let r1 = g.handle_fault(base.page(), Cycle::ZERO).fault_page_ready();
         let r2 = g.handle_fault(base.page().add(1), Cycle::ZERO);
+        let (handled, ready) = (r2.handled, r2.fault_page_ready());
         // Second fault's handling starts only after the first fault is
         // fully retired (handling window + migration landed).
-        assert_eq!(r2.handled, r1.fault_page_ready() + g.config().fault_latency);
-        assert!(r2.fault_page_ready() > r1.fault_page_ready());
+        assert_eq!(handled, r1 + g.config().fault_latency);
+        assert!(ready > r1);
     }
 
     #[test]
@@ -2113,12 +2105,11 @@ mod tests {
                 _rng: &mut SmallRng,
                 page: PageId,
                 alloc: AllocId,
-            ) -> Vec<Vec<PageId>> {
+                groups: &mut PageGroups,
+            ) {
                 let next = page.add(1);
                 if next.index() < view.alloc(alloc).end_page().index() && !view.is_valid(next) {
-                    vec![vec![next]]
-                } else {
-                    Vec::new()
+                    groups.push_group([next]);
                 }
             }
             fn box_clone(&self) -> Box<dyn Prefetcher> {
@@ -2140,11 +2131,13 @@ mod tests {
                 _rng: &mut SmallRng,
                 t: Cycle,
                 max_pin: u8,
-            ) -> Option<Vec<Vec<PageId>>> {
-                view.resident_iter()
-                    .filter(|&p| view.pin_level(p, t) <= max_pin)
-                    .max_by_key(|p| p.index())
-                    .map(|p| vec![vec![p]])
+                victims: &mut PageGroups,
+            ) {
+                victims.push_group(
+                    view.resident_iter()
+                        .filter(|&p| view.pin_level(p, t) <= max_pin)
+                        .max_by_key(|p| p.index()),
+                );
             }
             fn box_clone(&self) -> Box<dyn Evictor> {
                 Box::new(self.clone())
@@ -2383,11 +2376,11 @@ mod tests {
         let plan = FaultPlan::none().with_latency_jitter(1.0).with_seed(3);
         let mut g = Gmmu::new(UvmConfig::default().with_fault_plan(plan));
         let base = g.malloc_managed(Bytes::mib(2));
-        let res = g.handle_fault(base.page(), Cycle::ZERO);
+        let handled = g.handle_fault(base.page(), Cycle::ZERO).handled;
         let jitter = g.stats().fault_injection.jitter_cycles;
         assert!(jitter > 0, "full jitter with this seed draws a nonzero u");
         assert_eq!(
-            res.handled,
+            handled,
             Cycle::ZERO + g.config().fault_latency + Duration::from_cycles(jitter)
         );
     }
@@ -2400,13 +2393,13 @@ mod tests {
         let plan = FaultPlan::none().with_migration_faults(1.0, 2);
         let mut g = Gmmu::new(UvmConfig::default().with_fault_plan(plan));
         let base = g.malloc_managed(Bytes::mib(2));
-        let res = g.handle_fault(base.page(), Cycle::ZERO);
+        let handled = g.handle_fault(base.page(), Cycle::ZERO).handled;
         let fi = &g.stats().fault_injection;
         assert_eq!(fi.migration_retries, 2);
         assert_eq!(fi.migration_giveups, 1);
         // Base window + two replayed handling windows.
         assert_eq!(
-            res.handled,
+            handled,
             Cycle::ZERO
                 + g.config().fault_latency
                 + g.config().fault_latency
@@ -2575,5 +2568,30 @@ mod tests {
             err.violations.iter().any(|v| v.contains("valid PTEs")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn audit_catches_a_planted_inner_tree_node() {
+        let mut g = Gmmu::new(
+            UvmConfig::default()
+                .with_capacity(Bytes::mib(1))
+                .with_prefetch(PrefetchPolicy::TreeBasedNeighborhood)
+                .with_evict(EvictPolicy::TreeBasedNeighborhood),
+        );
+        let base = g.malloc_managed(Bytes::mib(2));
+        let mut now = Cycle::ZERO;
+        for block in 0..24 {
+            now = touch(&mut g, first_page_of_block(base, block), now);
+        }
+        g.audit().unwrap();
+        // Skew the root of the first tree: every leaf still matches the
+        // page table, so only the inner-node check can see it.
+        let block = base.basic_block();
+        let tree = g.tree_mut(block).unwrap();
+        let root = tree.root_valid_pages();
+        tree.plant_node_count(1, root + 1);
+        let err = g.audit().unwrap_err();
+        assert_eq!(err.violations.len(), 1, "{err}");
+        assert!(err.violations[0].contains("inner node 1"), "{err}");
     }
 }

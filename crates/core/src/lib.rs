@@ -63,6 +63,7 @@ mod dense;
 pub mod evict;
 mod fault;
 mod gmmu;
+mod groups;
 mod hier;
 mod indexed;
 mod lru;
@@ -85,6 +86,7 @@ pub use evict::{Evictor, MosaicEvictor};
 pub use fault::{FaultPlan, ParseFaultProfileError, READ_CHANNEL_TAG, WRITE_CHANNEL_TAG};
 pub use gmmu::AuditError;
 pub use gmmu::{FaultResolution, Gmmu};
+pub use groups::PageGroups;
 pub use hier::HierarchicalLru;
 pub use indexed::IndexedPageSet;
 pub use lru::{DenseIndex, LruQueue};

@@ -18,6 +18,7 @@ use uvm_types::rng::SmallRng;
 use uvm_types::PageId;
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::registry::{ParamSpec, PolicyError};
 use crate::spec::PolicySpec;
 use crate::trace::LearnedTable;
@@ -94,7 +95,8 @@ impl Prefetcher for LearnedPrefetcher {
         _rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
+        groups: &mut PageGroups,
+    ) {
         if let Some(last) = self.last_fault {
             let delta = page.index() as i64 - last as i64;
             if delta != 0 {
@@ -107,7 +109,7 @@ impl Prefetcher for LearnedPrefetcher {
         self.last_fault = Some(page.index());
 
         if self.table.is_empty() || self.history.len() < self.table.depth() {
-            return Vec::new();
+            return;
         }
         let context: Vec<i64> = self.history.iter().copied().collect();
         let (candidates, chain, chain_end) = predict_chain(
@@ -135,7 +137,7 @@ impl Prefetcher for LearnedPrefetcher {
             }
             self.last_fault = Some(chain_end);
         }
-        groups_from_candidates(view, page, alloc, candidates)
+        groups_from_candidates(view, page, alloc, candidates, groups);
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {

@@ -24,6 +24,7 @@ use uvm_types::rng::SmallRng;
 use uvm_types::PageId;
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::registry::{ParamSpec, PolicyError};
 use crate::spec::PolicySpec;
 use crate::view::ResidencyView;
@@ -163,7 +164,8 @@ impl Prefetcher for MarkovPrefetcher {
         _rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
+        groups: &mut PageGroups,
+    ) {
         if let Some(last) = self.last_fault {
             let delta = page.index() as i64 - last as i64;
             if delta != 0 {
@@ -173,12 +175,12 @@ impl Prefetcher for MarkovPrefetcher {
         self.last_fault = Some(page.index());
 
         if self.history.len() < self.depth {
-            return Vec::new();
+            return;
         }
         let context: Vec<i64> = self.history.iter().copied().collect();
         let (candidates, _, _) =
             predict_chain(|ctx| self.ranked(ctx), &context, page.index(), self.degree);
-        groups_from_candidates(view, page, alloc, candidates)
+        groups_from_candidates(view, page, alloc, candidates, groups);
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {
@@ -304,33 +306,34 @@ pub(super) fn predict_chain(
 }
 
 /// Filters candidate page indices to invalid pages inside the faulty
-/// allocation and groups contiguous runs into single transfers.
+/// allocation and appends contiguous runs to `groups`, one transfer
+/// each.
 pub(super) fn groups_from_candidates(
     view: &ResidencyView<'_>,
     page: PageId,
     alloc: AllocId,
     mut candidates: Vec<u64>,
-) -> Vec<Vec<PageId>> {
+    groups: &mut PageGroups,
+) {
     let a = view.alloc(alloc);
     let (lo, hi) = (a.first_page().index(), a.end_page().index());
     candidates.retain(|&c| c >= lo && c < hi && c != page.index());
     candidates.sort_unstable();
     candidates.dedup();
 
-    let mut groups: Vec<Vec<PageId>> = Vec::new();
     let mut prev: Option<u64> = None;
     for c in candidates {
         let p = PageId::new(c);
         if view.is_valid(p) {
             continue;
         }
-        match prev {
-            Some(q) if c == q + 1 => groups.last_mut().expect("run open").push(p),
-            _ => groups.push(vec![p]),
+        if prev.is_some_and(|q| c != q + 1) {
+            groups.end_group();
         }
+        groups.push(p);
         prev = Some(c);
     }
-    groups
+    groups.end_group();
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ use uvm_types::rng::SmallRng;
 use uvm_types::{LargePageId, PageId};
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::registry::PolicyError;
 use crate::spec::PolicySpec;
 use crate::view::ResidencyView;
@@ -69,9 +70,12 @@ pub(crate) fn parse_param(
 ///
 /// Contract:
 ///
-/// * [`plan`](Self::plan) returns *transfer groups*: each inner `Vec`
+/// * [`plan`](Self::plan) appends *transfer groups* to a
+///   [`PageGroups`] the mechanism owns and hands over empty: each group
 ///   is moved as one PCI-e transfer. The faulty page itself must NOT
-///   appear — it travels as its own 4 KB fault-group transfer.
+///   appear — it travels as its own 4 KB fault-group transfer. The
+///   buffer is reused across faults, so a plan built from it allocates
+///   nothing once warm.
 /// * Planned pages must be invalid (`!view.is_valid(p)`) and lie
 ///   inside a managed allocation; the mechanism debug-asserts this
 ///   and trims groups to the free-frame budget, so over-planning is
@@ -90,15 +94,16 @@ pub trait Prefetcher: fmt::Debug + Send + Sync {
     /// The registry's canonical (display) name for this prefetcher.
     fn name(&self) -> &'static str;
 
-    /// Plans the prefetch transfer groups for a fault on `page` inside
-    /// allocation `alloc`.
+    /// Appends the prefetch transfer groups for a fault on `page`
+    /// inside allocation `alloc` to `groups`.
     fn plan(
         &mut self,
         view: &ResidencyView<'_>,
         rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>>;
+        groups: &mut PageGroups,
+    );
 
     /// Huge-page placement hook: `true` asks the mechanism to
     /// soft-reserve a contiguous, aligned 2 MB frame region on the

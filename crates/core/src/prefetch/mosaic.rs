@@ -1,12 +1,13 @@
 //! MOSp: the Mosaic-style coalescing prefetcher.
 
 use uvm_types::rng::SmallRng;
-use uvm_types::{LargePageId, PageId, PAGES_PER_BASIC_BLOCK, PAGES_PER_LARGE_PAGE};
+use uvm_types::{LargePageId, PageId, PAGES_PER_LARGE_PAGE};
 
 use crate::alloc::AllocId;
-use crate::tree::group_contiguous;
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
+use super::tbn::TbnPlanner;
 use super::Prefetcher;
 
 /// Once a faulting large page's residency reaches this fraction, MOSp
@@ -28,13 +29,15 @@ const FINISH_THRESHOLD: u64 = PAGES_PER_LARGE_PAGE / 2;
 /// The mechanism still trims every plan to the free-frame budget, so
 /// the finish-the-page groups are dropped first under pressure (they
 /// are appended after the tree plan).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MosaicPrefetcher;
+#[derive(Clone, Debug, Default)]
+pub struct MosaicPrefetcher {
+    planner: TbnPlanner,
+}
 
 impl MosaicPrefetcher {
     /// A stateless MOSp instance.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 }
 
@@ -49,59 +52,37 @@ impl Prefetcher for MosaicPrefetcher {
         _rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
-        let fault_block = page.basic_block();
-        let alloc = view.alloc(alloc);
-        let tree = alloc
-            .tree_for_block(fault_block)
-            .expect("fault block inside allocation has a tree");
-        let planned = tree.plan_prefetch(fault_block);
-
-        let mut blocks = planned;
-        blocks.push(fault_block);
-        blocks.sort_unstable_by_key(|b| b.index());
-        let runs = group_contiguous(&blocks);
-
-        let mut groups = Vec::with_capacity(runs.len() + 1);
-        let mut in_plan = vec![false; PAGES_PER_LARGE_PAGE as usize];
-        let lp = page.large_page();
-        for (start, len) in runs {
-            let mut pages: Vec<PageId> = Vec::with_capacity((len * PAGES_PER_BASIC_BLOCK) as usize);
-            pages.extend(
-                (0..len)
-                    .flat_map(|i| start.add(i).pages())
-                    .filter(|&p| p != page && !view.is_valid(p)),
-            );
-            for &p in &pages {
-                if p.large_page() == lp {
-                    in_plan[(p.index() - lp.first_page().index()) as usize] = true;
-                }
-            }
-            if !pages.is_empty() {
-                groups.push(pages);
-            }
-        }
+        groups: &mut PageGroups,
+    ) {
+        let tree_planned = groups.pages().len();
+        self.planner.plan(view, page, alloc, groups);
 
         // Finish the faulting large page once it is half resident: the
         // planned pages above count toward the target, so the remainder
         // is whatever neither the tree plan nor residency covers.
-        let planned_in_lp = in_plan.iter().filter(|&&b| b).count() as u64;
-        if view.large_page_residency(lp) + planned_in_lp + 1 >= FINISH_THRESHOLD {
-            let first = lp.first_page();
-            let remainder: Vec<PageId> = (0..PAGES_PER_LARGE_PAGE)
-                .map(|k| first.add(k))
-                .filter(|&p| {
-                    p != page
-                        && alloc.contains_page(p)
-                        && !in_plan[(p.index() - first.index()) as usize]
-                        && !view.is_valid(p)
-                })
-                .collect();
-            if !remainder.is_empty() {
-                groups.push(remainder);
+        let lp = page.large_page();
+        let first = lp.first_page();
+        let mut in_plan = [0u64; (PAGES_PER_LARGE_PAGE / 64) as usize];
+        let bit = |p: PageId| (p.index() - first.index()) as usize;
+        for &p in &groups.pages()[tree_planned..] {
+            if p.large_page() == lp {
+                in_plan[bit(p) / 64] |= 1 << (bit(p) % 64);
             }
         }
-        groups
+        let planned_in_lp: u64 = in_plan.iter().map(|w| u64::from(w.count_ones())).sum();
+        if view.large_page_residency(lp) + planned_in_lp + 1 >= FINISH_THRESHOLD {
+            let alloc = view.alloc(alloc);
+            groups.push_group(
+                (0..PAGES_PER_LARGE_PAGE)
+                    .map(|k| first.add(k))
+                    .filter(|&p| {
+                        p != page
+                            && alloc.contains_page(p)
+                            && in_plan[bit(p) / 64] & (1 << (bit(p) % 64)) == 0
+                            && !view.is_valid(p)
+                    }),
+            );
+        }
     }
 
     fn wants_contiguous_placement(&self) -> bool {
@@ -113,6 +94,6 @@ impl Prefetcher for MosaicPrefetcher {
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(*self)
+        Box::new(self.clone())
     }
 }

@@ -4,6 +4,7 @@ use uvm_types::rng::SmallRng;
 use uvm_types::PageId;
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 use super::Prefetcher;
@@ -23,8 +24,8 @@ impl Prefetcher for NonePrefetcher {
         _rng: &mut SmallRng,
         _page: PageId,
         _alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
-        Vec::new()
+        _groups: &mut PageGroups,
+    ) {
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {

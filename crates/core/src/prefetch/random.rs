@@ -4,6 +4,7 @@ use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::{PageId, PAGES_PER_LARGE_PAGE};
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 use super::Prefetcher;
@@ -24,22 +25,27 @@ impl Prefetcher for RandomPrefetcher {
         rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
+        groups: &mut PageGroups,
+    ) {
         let alloc = view.alloc(alloc);
         let lp_first = page.large_page().first_page();
         let start = lp_first.index().max(alloc.first_page().index());
         let end = (lp_first.index() + PAGES_PER_LARGE_PAGE).min(alloc.end_page().index());
-        let mut candidates: Vec<PageId> = Vec::with_capacity((end.saturating_sub(start)) as usize);
-        candidates.extend(
+        // Count, draw, then walk to the pick: the same uniform choice
+        // as indexing a collected candidate list, without the list.
+        let candidates = || {
             (start..end)
                 .map(PageId::new)
-                .filter(|&p| p != page && !view.is_valid(p)),
-        );
-        if candidates.is_empty() {
-            return Vec::new();
+                .filter(|&p| p != page && !view.is_valid(p))
+        };
+        let n = candidates().count();
+        if n == 0 {
+            return;
         }
-        let pick = candidates[rng.gen_range(0..candidates.len())];
-        vec![vec![pick]]
+        let pick = candidates()
+            .nth(rng.gen_range(0..n))
+            .expect("pick below the candidate count");
+        groups.push_group([pick]);
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {

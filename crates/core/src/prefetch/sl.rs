@@ -1,9 +1,10 @@
 //! SLp: the sequential-local prefetcher of paper Sec. 3.2.
 
 use uvm_types::rng::SmallRng;
-use uvm_types::{PageId, PAGES_PER_BASIC_BLOCK};
+use uvm_types::PageId;
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 use super::Prefetcher;
@@ -24,18 +25,13 @@ impl Prefetcher for SlPrefetcher {
         _rng: &mut SmallRng,
         page: PageId,
         _alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
-        let mut group: Vec<PageId> = Vec::with_capacity(PAGES_PER_BASIC_BLOCK as usize);
-        group.extend(
+        groups: &mut PageGroups,
+    ) {
+        groups.push_group(
             page.basic_block()
                 .pages()
                 .filter(|&p| p != page && !view.is_valid(p)),
         );
-        if group.is_empty() {
-            Vec::new()
-        } else {
-            vec![group]
-        }
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {

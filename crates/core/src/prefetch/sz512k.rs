@@ -4,6 +4,7 @@ use uvm_types::rng::SmallRng;
 use uvm_types::PageId;
 
 use crate::alloc::AllocId;
+use crate::groups::PageGroups;
 use crate::view::ResidencyView;
 
 use super::Prefetcher;
@@ -26,19 +27,14 @@ impl Prefetcher for Sz512kPrefetcher {
         _rng: &mut SmallRng,
         page: PageId,
         alloc: AllocId,
-    ) -> Vec<Vec<PageId>> {
+        groups: &mut PageGroups,
+    ) {
         let end = view.alloc(alloc).end_page().index();
-        let mut group: Vec<PageId> = Vec::with_capacity(128);
-        group.extend(
+        groups.push_group(
             (page.index() + 1..(page.index() + 128).min(end))
                 .map(PageId::new)
                 .filter(|&p| !view.is_valid(p)),
         );
-        if group.is_empty() {
-            Vec::new()
-        } else {
-            vec![group]
-        }
     }
 
     fn box_clone(&self) -> Box<dyn Prefetcher> {

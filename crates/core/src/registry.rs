@@ -254,7 +254,7 @@ impl PolicyRegistry {
             summary: "tree-based neighborhood prefetch from the NVIDIA driver (Sec. 3.3)",
             params: &[],
             selector: Some(PrefetchPolicy::TreeBasedNeighborhood),
-            factory: |_, _| Ok(Box::new(TbnPrefetcher)),
+            factory: |_, _| Ok(Box::new(TbnPrefetcher::default())),
         });
         r.register_prefetcher(PrefetcherEntry {
             name: "MOSp",

@@ -227,7 +227,22 @@ impl AllocTree {
     /// pushing the fill recursively down to leaves that have spare
     /// quota. Newly-filled leaves are the prefetch candidates.
     pub fn plan_prefetch(&self, fault_block: BasicBlockId) -> Vec<BasicBlockId> {
-        let mut scratch = self.valid.clone();
+        let mut picked = Vec::new();
+        self.plan_prefetch_into(fault_block, &mut Vec::new(), &mut picked);
+        picked
+    }
+
+    /// [`plan_prefetch`](Self::plan_prefetch) into caller-owned
+    /// buffers: `picked` is overwritten with the plan and `scratch`
+    /// with working counts, so a warm caller plans without allocating.
+    pub fn plan_prefetch_into(
+        &self,
+        fault_block: BasicBlockId,
+        scratch: &mut Vec<u32>,
+        picked: &mut Vec<BasicBlockId>,
+    ) {
+        scratch.clone_from(&self.valid);
+        picked.clear();
         let leaf = self.leaf_index(fault_block);
         // The fault block becomes fully valid.
         let gain = LEAF_PAGES - scratch[leaf];
@@ -240,13 +255,12 @@ impl AllocTree {
             i /= 2;
         }
 
-        let mut picked = Vec::new();
         // Ascend from the fault leaf's parent to the root, balancing
         // every ancestor that trips the >50% rule.
         let mut node = leaf / 2;
         while node >= 1 {
             if scratch[node] * 2 > self.node_capacity(node) {
-                self.balance_up(&mut scratch, node, &mut picked);
+                self.balance_up(scratch, node, picked);
             }
             if node == 1 {
                 break;
@@ -257,7 +271,6 @@ impl AllocTree {
         // once; candidates are whole basic blocks, so dedupe.
         picked.sort_unstable_by_key(|b| b.index());
         picked.dedup();
-        picked
     }
 
     /// Equalize the children of `node` by raising the lesser child to
@@ -362,7 +375,21 @@ impl AllocTree {
     /// by lowering the greater to the lesser, pushing the drain down to
     /// leaves. Newly-emptied leaves are the pre-eviction candidates.
     pub fn plan_eviction(&self, victim_block: BasicBlockId) -> Vec<BasicBlockId> {
-        let mut scratch = self.valid.clone();
+        let mut picked = Vec::new();
+        self.plan_eviction_into(victim_block, &mut Vec::new(), &mut picked);
+        picked
+    }
+
+    /// [`plan_eviction`](Self::plan_eviction) into caller-owned
+    /// buffers, like [`plan_prefetch_into`](Self::plan_prefetch_into).
+    pub fn plan_eviction_into(
+        &self,
+        victim_block: BasicBlockId,
+        scratch: &mut Vec<u32>,
+        picked: &mut Vec<BasicBlockId>,
+    ) {
+        scratch.clone_from(&self.valid);
+        picked.clear();
         let leaf = self.leaf_index(victim_block);
         let loss = scratch[leaf];
         let mut i = leaf;
@@ -374,11 +401,10 @@ impl AllocTree {
             i /= 2;
         }
 
-        let mut picked = Vec::new();
         let mut node = leaf / 2;
         while node >= 1 {
             if scratch[node] * 2 < self.node_capacity(node) {
-                self.balance_down(&mut scratch, node, &mut picked);
+                self.balance_down(scratch, node, picked);
             }
             if node == 1 {
                 break;
@@ -387,7 +413,6 @@ impl AllocTree {
         }
         picked.sort_unstable_by_key(|b| b.index());
         picked.dedup();
-        picked
     }
 
     /// Equalize the children of `node` by lowering the greater child to
@@ -479,17 +504,32 @@ impl AllocTree {
     ///
     /// Panics if the invariant is violated (a bug in this crate).
     pub fn check_invariants(&self) {
-        let leaves_start = self.valid.len() / 2;
-        for i in 1..leaves_start {
-            assert_eq!(
-                self.valid[i],
-                self.valid[2 * i] + self.valid[2 * i + 1],
-                "node {i} out of sync"
-            );
+        if let Some((i, have, sum)) = self.inner_node_mismatches().next() {
+            panic!("node {i} out of sync: holds {have}, children sum to {sum}");
         }
+        let leaves_start = self.valid.len() / 2;
         for i in leaves_start..self.valid.len() {
             assert!(self.valid[i] <= LEAF_PAGES, "leaf {i} over capacity");
         }
+    }
+
+    /// Every inner node whose valid count differs from the sum of its
+    /// two children's, as `(heap index, count, children's sum)` — empty
+    /// for a consistent tree. The non-panicking half of
+    /// [`check_invariants`](Self::check_invariants), for auditors that
+    /// report every violation.
+    pub fn inner_node_mismatches(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
+        (1..self.valid.len() / 2).filter_map(|i| {
+            let sum = self.valid[2 * i] + self.valid[2 * i + 1];
+            (self.valid[i] != sum).then_some((i, self.valid[i], sum))
+        })
+    }
+
+    /// Overwrites one node's count behind the tree's back, for tests
+    /// that plant an inconsistency.
+    #[cfg(test)]
+    pub(crate) fn plant_node_count(&mut self, node: usize, count: u32) {
+        self.valid[node] = count;
     }
 }
 
@@ -504,21 +544,18 @@ impl AllocTree {
 /// use uvm_types::BasicBlockId;
 ///
 /// let blocks: Vec<_> = [0u64, 1, 2, 5, 7, 8].iter().map(|&i| BasicBlockId::new(i)).collect();
-/// let runs = group_contiguous(&blocks);
+/// let runs: Vec<_> = group_contiguous(&blocks).collect();
 /// assert_eq!(runs.len(), 3);
 /// assert_eq!(runs[0], (BasicBlockId::new(0), 3));
 /// assert_eq!(runs[1], (BasicBlockId::new(5), 1));
 /// assert_eq!(runs[2], (BasicBlockId::new(7), 2));
 /// ```
-pub fn group_contiguous(sorted_blocks: &[BasicBlockId]) -> Vec<(BasicBlockId, u64)> {
-    let mut runs: Vec<(BasicBlockId, u64)> = Vec::new();
-    for &b in sorted_blocks {
-        match runs.last_mut() {
-            Some((start, len)) if start.index() + *len == b.index() => *len += 1,
-            _ => runs.push((b, 1)),
-        }
-    }
-    runs
+pub fn group_contiguous(
+    sorted_blocks: &[BasicBlockId],
+) -> impl Iterator<Item = (BasicBlockId, u64)> + '_ {
+    sorted_blocks
+        .chunk_by(|a, b| a.index() + 1 == b.index())
+        .map(|run| (run[0], run.len() as u64))
 }
 
 #[cfg(test)]
@@ -579,7 +616,7 @@ mod tests {
         // Contiguity grouping: blocks 4(fault),5,6,7 group into one run.
         let mut all = vec![bb(4)];
         all.extend(plan);
-        let runs = group_contiguous(&all);
+        let runs: Vec<_> = group_contiguous(&all).collect();
         assert_eq!(runs, vec![(bb(4), 4)]);
     }
 
@@ -728,9 +765,11 @@ mod tests {
 
     #[test]
     fn group_contiguous_edge_cases() {
-        assert!(group_contiguous(&[]).is_empty());
-        assert_eq!(group_contiguous(&[bb(3)]), vec![(bb(3), 1)]);
-        let runs = group_contiguous(&[bb(1), bb(2), bb(4)]);
-        assert_eq!(runs, vec![(bb(1), 2), (bb(4), 1)]);
+        let runs = |blocks: &[BasicBlockId]| group_contiguous(blocks).collect::<Vec<_>>();
+        assert!(runs(&[]).is_empty());
+        assert_eq!(runs(&[bb(3)]), vec![(bb(3), 1)]);
+        assert_eq!(runs(&[bb(1), bb(2), bb(4)]), vec![(bb(1), 2), (bb(4), 1)]);
+        // A repeated block starts a new run.
+        assert_eq!(runs(&[bb(1), bb(1)]), vec![(bb(1), 1), (bb(1), 1)]);
     }
 }

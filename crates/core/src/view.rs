@@ -21,6 +21,7 @@ use uvm_types::{BasicBlockId, Cycle, Duration, LargePageId, PageId, PAGES_PER_LA
 
 use crate::alloc::{AllocId, Allocation, Allocations};
 use crate::dense::{DensePageMap, DensePageSet};
+use crate::groups::PageGroups;
 use crate::indexed::IndexedPageSet;
 
 /// No pin: freely evictable.
@@ -183,17 +184,20 @@ impl<'a> ResidencyView<'a> {
             .any(|p| self.is_valid(p) && self.pin_level(p, t) <= max_pin)
     }
 
-    /// The resident pages of `block` with pin level at most `max_pin`.
+    /// Appends the resident pages of `block` with pin level at most
+    /// `max_pin` to the open group of `out`.
     pub fn evictable_pages_of_block(
         &self,
         block: BasicBlockId,
         t: Cycle,
         max_pin: u8,
-    ) -> Vec<PageId> {
-        block
-            .pages()
-            .filter(|&p| self.is_valid(p) && self.pin_level(p, t) <= max_pin)
-            .collect()
+        out: &mut PageGroups,
+    ) {
+        out.extend(
+            block
+                .pages()
+                .filter(|&p| self.is_valid(p) && self.pin_level(p, t) <= max_pin),
+        );
     }
 }
 

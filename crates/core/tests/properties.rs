@@ -437,9 +437,10 @@ fn gmmu_conserves_under_random_traffic() {
             if !g.is_resident(p) {
                 let res = g.handle_fault(p, now);
                 now = res.fault_page_ready();
+                let ready = res.ready.to_vec();
                 // Every page in the resolution is now resident.
-                for (rp, _) in &res.ready {
-                    assert!(g.is_resident(*rp));
+                for (rp, _) in ready {
+                    assert!(g.is_resident(rp));
                 }
             }
             g.record_access(p, write);

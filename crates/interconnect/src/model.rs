@@ -1,7 +1,9 @@
 //! The PCI-e cost model: latency and bandwidth as a function of
 //! transfer size.
 
-use uvm_types::{Bytes, Duration};
+use std::sync::{Arc, OnceLock};
+
+use uvm_types::{Bytes, Duration, PAGES_PER_LARGE_PAGE, PAGE_SIZE};
 
 /// Calibration points measured by the paper on a GTX 1080ti with
 /// PCI-e 3.0 16x (Table 1): `(transfer size, bandwidth in GB/s)`.
@@ -23,6 +25,12 @@ const TABLE1: [(Bytes, f64); 5] = [
 /// property the paper's analysis relies on ("scheduling larger
 /// transfers amortizes activation overhead").
 ///
+/// Every migration and write-back the driver schedules is a whole
+/// number of 4 KB pages up to one 2 MB large page, so the transfer time
+/// of each of those 512 sizes is evaluated once, at construction, and
+/// looked up afterwards; any other size takes the formula. The table
+/// holds the formula's own results, so lookups are bit-identical.
+///
 /// # Examples
 ///
 /// ```
@@ -38,14 +46,20 @@ const TABLE1: [(Bytes, f64); 5] = [
 #[derive(Clone, Debug)]
 pub struct PcieModel {
     /// `(log2(size_bytes), bandwidth GB/s)` calibration points, sorted.
-    points: Vec<(f64, f64)>,
+    points: Arc<[(f64, f64)]>,
+    /// `page_times[k]` is the transfer time of `k + 1` 4 KB pages.
+    page_times: Arc<[Duration]>,
 }
 
 impl PcieModel {
     /// The model calibrated to the paper's GTX 1080ti / PCI-e 3.0 16x
-    /// measurements (Table 1).
+    /// measurements (Table 1). Built once per process; every call
+    /// shares the same tables.
     pub fn pascal_x16() -> Self {
-        Self::from_calibration(&TABLE1)
+        static MODEL: OnceLock<PcieModel> = OnceLock::new();
+        MODEL
+            .get_or_init(|| Self::from_calibration(&TABLE1))
+            .clone()
     }
 
     /// Builds a model from `(size, GB/s)` calibration points.
@@ -62,12 +76,17 @@ impl PcieModel {
             assert!(gbps > 0.0, "bandwidth must be positive");
             prev = size.bytes();
         }
-        PcieModel {
+        let mut model = PcieModel {
             points: points
                 .iter()
                 .map(|&(size, gbps)| ((size.bytes() as f64).log2(), gbps))
                 .collect(),
-        }
+            page_times: Arc::new([]),
+        };
+        model.page_times = (1..=PAGES_PER_LARGE_PAGE)
+            .map(|pages| model.formula_time(PAGE_SIZE * pages))
+            .collect();
+        model
     }
 
     /// Effective bandwidth in GB/s for a transfer of `size`.
@@ -104,12 +123,31 @@ impl PcieModel {
     ///
     /// A zero-size transfer takes zero time.
     pub fn transfer_time(&self, size: Bytes) -> Duration {
+        match page_slot(size) {
+            Some(k) => self.page_times[k],
+            None => self.formula_time(size),
+        }
+    }
+
+    /// [`transfer_time`](Self::transfer_time) evaluated from the
+    /// bandwidth curve, bypassing the page-multiple table.
+    fn formula_time(&self, size: Bytes) -> Duration {
         if size == Bytes::ZERO {
             return Duration::ZERO;
         }
         let secs = size.bytes() as f64 / (self.bandwidth_gbps(size) * 1e9);
         Duration::from_secs(secs)
     }
+}
+
+/// `k` when `size` is exactly `k + 1` 4 KB pages with `k < 512` (a
+/// whole-page transfer of at most 2 MB): its slot in the page-multiple
+/// table.
+fn page_slot(size: Bytes) -> Option<usize> {
+    let page = PAGE_SIZE.bytes();
+    let pages = size.bytes() / page;
+    (size.bytes().is_multiple_of(page) && (1..=PAGES_PER_LARGE_PAGE).contains(&pages))
+        .then(|| pages as usize - 1)
 }
 
 impl Default for PcieModel {
@@ -166,6 +204,27 @@ mod tests {
         let t1m = m.transfer_time(Bytes::kib(1024));
         assert!((t1m.as_micros() - 93.43).abs() < 0.2, "{}", t1m.as_micros());
         assert_eq!(m.transfer_time(Bytes::ZERO), Duration::ZERO);
+    }
+
+    /// The precomputed table must equal the formula at every one of its
+    /// 512 page-multiple sizes, so lookups change no simulated cycle.
+    #[test]
+    fn page_table_equals_the_formula_at_all_512_sizes() {
+        for m in [
+            PcieModel::pascal_x16(),
+            PcieModel::from_calibration(&[(Bytes::kib(8), 2.0), (Bytes::kib(512), 9.5)]),
+        ] {
+            assert_eq!(m.page_times.len(), 512);
+            for pages in 1..=PAGES_PER_LARGE_PAGE {
+                let size = PAGE_SIZE * pages;
+                assert_eq!(m.transfer_time(size), m.formula_time(size), "{pages} pages");
+            }
+            // Off-table sizes fall through to the formula.
+            for bytes in [1, 4095, 4097, 2 * 1024 * 1024 + 4096, 8 * 1024 * 1024] {
+                let size = Bytes::new(bytes);
+                assert_eq!(m.transfer_time(size), m.formula_time(size), "{bytes} B");
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Per-channel traffic statistics — the raw material of Figs. 4 and 7.
 
-use std::collections::BTreeMap;
-
 use uvm_types::{Bytes, Duration, PAGE_SIZE};
 
 /// Histogram of transfer counts keyed by exact transfer size.
 ///
 /// Fig. 7 of the paper counts 4 KB transfers specifically; the harness
 /// also uses the full histogram to explain bandwidth differences.
+///
+/// Stored as a flat list sorted by size rather than a tree map: a run
+/// issues far fewer distinct sizes than transfers, so a binary search
+/// is cheap, recording an already-seen size never allocates, and the
+/// clone every engine snapshot takes stays as small as the list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransferSizeHistogram {
-    counts: BTreeMap<Bytes, u64>,
+    /// `(size, count)` of every recorded size, ascending by size.
+    counts: Vec<(Bytes, u64)>,
 }
 
 impl TransferSizeHistogram {
@@ -21,12 +25,20 @@ impl TransferSizeHistogram {
 
     /// Records one transfer of `size`.
     pub fn record(&mut self, size: Bytes) {
-        *self.counts.entry(size).or_insert(0) += 1;
+        match self.slot(size) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (size, 1)),
+        }
+    }
+
+    /// The position of `size` in the sorted list, or where it belongs.
+    fn slot(&self, size: Bytes) -> Result<usize, usize> {
+        self.counts.binary_search_by_key(&size, |&(s, _)| s)
     }
 
     /// Number of transfers of exactly `size`.
     pub fn count(&self, size: Bytes) -> u64 {
-        self.counts.get(&size).copied().unwrap_or(0)
+        self.slot(size).map_or(0, |i| self.counts[i].1)
     }
 
     /// Number of transfers that were a single 4 KB page.
@@ -36,19 +48,19 @@ impl TransferSizeHistogram {
 
     /// Total number of transfers of any size.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().map(|&(_, c)| c).sum()
     }
 
     /// Iterates over `(size, count)` pairs in increasing size order.
     pub fn iter(&self) -> impl Iterator<Item = (Bytes, u64)> + '_ {
-        self.counts.iter().map(|(&s, &c)| (s, c))
+        self.counts.iter().copied()
     }
 
     /// Serializes the histogram for a checkpoint (sizes ascending, so
     /// the encoding is canonical).
     pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
         w.put_usize(self.counts.len());
-        for (&size, &count) in &self.counts {
+        for &(size, count) in &self.counts {
             w.put_u64(size.bytes());
             w.put_u64(count);
         }
@@ -60,13 +72,16 @@ impl TransferSizeHistogram {
         r: &mut uvm_types::codec::ByteReader<'_>,
     ) -> Result<Self, uvm_types::codec::CodecError> {
         let n = r.get_usize()?;
-        let mut counts = BTreeMap::new();
+        let mut h = TransferSizeHistogram::new();
         for _ in 0..n {
             let size = Bytes::new(r.get_u64()?);
             let count = r.get_u64()?;
-            counts.insert(size, count);
+            match h.slot(size) {
+                Ok(i) => h.counts[i].1 = count,
+                Err(i) => h.counts.insert(i, (size, count)),
+            }
         }
-        Ok(TransferSizeHistogram { counts })
+        Ok(h)
     }
 }
 
@@ -154,6 +169,40 @@ mod tests {
         assert_eq!(h.total(), 3);
         let pairs: Vec<_> = h.iter().collect();
         assert_eq!(pairs, vec![(PAGE_SIZE, 2), (Bytes::kib(64), 1)]);
+    }
+
+    /// Sizes recorded out of order come back ascending, and the
+    /// checkpoint image round-trips.
+    #[test]
+    fn histogram_sorts_sizes_and_round_trips() {
+        let mut h = TransferSizeHistogram::new();
+        for size in [
+            Bytes::mib(4),
+            Bytes::kib(8),
+            Bytes::new(100),
+            Bytes::mib(2),
+            Bytes::new(4097),
+            Bytes::kib(8),
+        ] {
+            h.record(size);
+        }
+        let pairs: Vec<_> = h.iter().collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (Bytes::new(100), 1),
+                (Bytes::new(4097), 1),
+                (Bytes::kib(8), 2),
+                (Bytes::mib(2), 1),
+                (Bytes::mib(4), 1),
+            ]
+        );
+        assert_eq!(h.total(), 6);
+        let mut w = uvm_types::codec::ByteWriter::new();
+        h.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = uvm_types::codec::ByteReader::new(&bytes);
+        assert_eq!(TransferSizeHistogram::load_state(&mut r).unwrap(), h);
     }
 
     #[test]

@@ -30,18 +30,16 @@ fn probe(label: &str, touch_blocks: &[u64]) {
         }
         let res = gmmu.handle_fault(page, now);
         now = res.fault_page_ready();
-        gmmu.record_access(page, false);
+        let migrated = res.ready.len();
         let mut blocks: Vec<u64> = res
             .ready
             .iter()
             .map(|(p, _)| p.basic_block().index())
             .collect();
+        gmmu.record_access(page, false);
         blocks.sort_unstable();
         blocks.dedup();
-        println!(
-            "  touch block {block}: fault migrated {} pages across blocks {blocks:?}",
-            res.ready.len()
-        );
+        println!("  touch block {block}: fault migrated {migrated} pages across blocks {blocks:?}");
     }
     println!(
         "  => {} far-faults, {} pages migrated, {} prefetched\n",
