@@ -206,10 +206,11 @@ fn bench_reference_tlb(b: &Bench) {
     });
 }
 
-/// The engine's event-queue churn pattern: a near-monotone stream of
-/// (cycle, seq) events — mostly short hops (TLB-hit latency), a few
-/// long fault-latency hops — pushed and popped through the priority
-/// structure. Models ~224 in-flight warp events (28 SMs x 8 blocks).
+/// The engine's event-queue churn pattern: each popped warp re-pushes
+/// itself keyed by its rank, one fixed hop later — the TLB-hit hop
+/// (`1 + 300 + 20` cycles), on one access in eight the resident-walk
+/// hop (`1 + 100 + 300 + 20`), on one in 64 the far-fault hop.
+/// Models ~224 in-flight warp events (28 SMs x 8 blocks).
 fn bench_queue(b: &Bench) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -217,37 +218,41 @@ fn bench_queue(b: &Bench) {
     use uvm_types::Cycle;
 
     const WARPS: u64 = 224;
+    /// `(lane, hop)` of the `n`-th re-push; `None` = the far-fault
+    /// hop, which the engine queues on the heap.
+    fn hop(n: u64) -> (Option<usize>, u64) {
+        if n.is_multiple_of(64) {
+            (None, 66_645)
+        } else if n.is_multiple_of(8) {
+            (Some(1), 421)
+        } else {
+            (Some(0), 321)
+        }
+    }
+
     b.bench("queue/binaryheap_churn_224warps", || {
         let mut q: BinaryHeap<Reverse<(Cycle, u64, usize)>> = BinaryHeap::new();
-        let mut seq = 0u64;
         for w in 0..WARPS {
-            q.push(Reverse((Cycle::ZERO, seq, w as usize)));
-            seq += 1;
+            q.push(Reverse((Cycle::ZERO, w, w as usize)));
         }
         let mut popped = 0u64;
-        while let Some(Reverse((t, _, w))) = q.pop() {
+        while let Some(Reverse((t, rank, w))) = q.pop() {
             popped += 1;
             if popped >= 20_000 {
                 break;
             }
-            // 1-in-64 events take the far-fault hop, the rest the
-            // TLB-hit hop — the engine's actual latency mix.
-            let hop = if popped.is_multiple_of(64) {
-                66_645
-            } else {
-                321
-            };
-            q.push(Reverse((Cycle::new(t.index() + hop), seq, w)));
-            seq += 1;
+            let (_, hop) = hop(popped);
+            q.push(Reverse((Cycle::new(t.index() + hop), rank, w)));
         }
         black_box(popped);
     });
 
-    // Same churn through the calendar queue the engine uses now.
-    b.bench("queue/calendar_churn_224warps", || {
+    // Same churn through the engine's queue, routed like the engine:
+    // fixed hops onto their lanes, far-faults onto the heap.
+    b.bench("queue/lane_churn_224warps", || {
         let mut q: EventQueue<usize> = EventQueue::new();
         for w in 0..WARPS {
-            q.push(Cycle::ZERO, w as usize);
+            q.push_keyed(Cycle::ZERO, w, w as usize);
         }
         let mut popped = 0u64;
         while let Some((t, w)) = q.pop() {
@@ -255,12 +260,12 @@ fn bench_queue(b: &Bench) {
             if popped >= 20_000 {
                 break;
             }
-            let hop = if popped.is_multiple_of(64) {
-                66_645
-            } else {
-                321
-            };
-            q.push(Cycle::new(t.index() + hop), w);
+            let (lane, hop) = hop(popped);
+            let t = Cycle::new(t.index() + hop);
+            match lane {
+                Some(lane) => q.push_lane(lane, t, w as u64, w),
+                None => q.push_keyed(t, w as u64, w),
+            }
         }
         black_box(popped);
     });

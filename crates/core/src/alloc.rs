@@ -7,7 +7,9 @@
 //! and the rounded-up extent is treated as migratable, mirroring the
 //! driver's zero-fill of the rounded tail.
 
-use uvm_types::{split_allocation, BasicBlockId, Bytes, PageId, VirtAddr, LARGE_PAGE_SIZE};
+use uvm_types::{
+    split_allocation, BasicBlockId, Bytes, PageId, VirtAddr, LARGE_PAGE_SIZE, PAGE_SIZE,
+};
 
 use crate::tree::AllocTree;
 
@@ -195,6 +197,13 @@ impl Allocations {
     /// Iterates over all allocations.
     pub fn iter(&self) -> impl Iterator<Item = &Allocation> {
         self.allocs.iter()
+    }
+
+    /// One past the highest page index any allocation covers: every
+    /// managed page's index lies below it (the bump allocator hands
+    /// out addresses upward from zero).
+    pub fn page_bound(&self) -> u64 {
+        self.next_base / PAGE_SIZE.bytes()
     }
 
     /// Total requested bytes across allocations (the working-set

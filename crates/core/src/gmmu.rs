@@ -1352,7 +1352,9 @@ impl Gmmu {
         self.huge_enabled = r.get_bool()?;
         self.fault_trace = if r.get_bool()? {
             let n = r.get_usize()?;
-            let mut trace = Vec::with_capacity(n);
+            // Every record takes at least a byte: a count the image
+            // cannot hold fails on the read below, not on the reserve.
+            let mut trace = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 let t = Cycle::new(r.get_u64()?);
                 trace.push((t, PageId::new(r.get_u64()?)));
@@ -2593,5 +2595,38 @@ mod tests {
         let err = g.audit().unwrap_err();
         assert_eq!(err.violations.len(), 1, "{err}");
         assert!(err.violations[0].contains("inner node 1"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_fault_trace_count_the_image_cannot_hold() {
+        use uvm_types::codec::{ByteReader, ByteWriter};
+        // The trace flag is the one byte that differs between a
+        // trace-off image and a trace-on image with no faults; splice
+        // a trace claiming 2^40 records in its place.
+        let image = |trace: bool| {
+            let mut g = Gmmu::new(UvmConfig::default());
+            g.malloc_managed(Bytes::mib(1));
+            if trace {
+                g.enable_fault_trace();
+            }
+            let mut w = ByteWriter::new();
+            g.save_state(&mut w);
+            w.into_bytes()
+        };
+        let (off, on) = (image(false), image(true));
+        let at = off.iter().zip(&on).take_while(|(a, b)| a == b).count();
+        assert_eq!((off[at], on[at]), (0, 1), "trace flag byte");
+        let mut craft = ByteWriter::new();
+        craft.put_raw(&off[..at]);
+        craft.put_bool(true);
+        craft.put_usize(1 << 40);
+        craft.put_raw(&off[at + 1..]);
+        let crafted = craft.into_bytes();
+        let mut g = Gmmu::new(UvmConfig::default());
+        let err = g.load_state(&mut ByteReader::new(&crafted)).unwrap_err();
+        assert!(
+            matches!(err, crate::checkpoint::CheckpointError::Codec(_)),
+            "{err}"
+        );
     }
 }

@@ -231,7 +231,8 @@ impl Prefetcher for MarkovPrefetcher {
         let contexts = r.get_usize()?;
         for _ in 0..contexts {
             let len = r.get_usize()?;
-            let mut context = Vec::with_capacity(len);
+            // Capped like every decoded count: each delta takes a byte.
+            let mut context = Vec::with_capacity(len.min(r.remaining()));
             for _ in 0..len {
                 context.push(r.get_i64()?);
             }
@@ -423,5 +424,19 @@ mod tests {
         assert!(matches!(err, PolicyError::BadParam { .. }), "{err:?}");
         let err = MarkovPrefetcher::from_spec(&"markov:depth=0".parse().unwrap()).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn load_state_rejects_a_context_length_the_image_cannot_hold() {
+        use uvm_types::codec::{ByteReader, ByteWriter};
+        let mut w = ByteWriter::new();
+        w.put_usize(0); // history
+        w.put_bool(false); // last fault
+        w.put_usize(1); // one context ...
+        w.put_usize(1 << 40); // ... claiming 2^40 deltas
+        w.put_i64(1);
+        let image = w.into_bytes();
+        let mut m = MarkovPrefetcher::with_params(2, 16, 4);
+        assert!(m.load_state(&mut ByteReader::new(&image)).is_err());
     }
 }

@@ -1,13 +1,14 @@
 //! The discrete-event engine: SMs, warp actors, TLBs, fault replay.
 //!
-//! The per-event hot path is allocation-free and O(1) per step: warp
-//! events flow through a calendar [`EventQueue`], access streams are
-//! pre-compiled into an engine-owned arena walked by cursor, per-SM
-//! TLB operations are hash-indexed, and eviction shootdowns consult a
-//! [`ShootdownDirectory`] so only the TLBs actually holding a page are
-//! touched. See DESIGN.md §7 for the design and its exactness
-//! argument — the schedules produced are bit-identical to the original
-//! heap-and-scan implementation.
+//! The per-event hot path is allocation-free and sort-free: warp
+//! events flow through the fixed-hop lanes of an [`EventQueue`], access
+//! streams are pre-compiled into an engine-owned arena walked by
+//! cursor, per-SM TLBs are indexed densely by page (no hashing on the
+//! 4 KB path), and eviction shootdowns consult a [`ShootdownDirectory`]
+//! so only the TLBs actually holding a page are touched. See DESIGN.md
+//! §7 for the design and its exactness argument — the schedules
+//! produced are bit-identical to the original heap-and-scan
+//! implementation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,6 +101,13 @@ struct WarpState {
     done: bool,
 }
 
+/// [`EventQueue`] lane of the TLB-hit hop (4 KB or huge entry):
+/// `1 + mem_latency + compute_delay` cycles after the pop.
+const HIT_LANE: usize = 0;
+/// [`EventQueue`] lane of the resident-TLB-miss hop: `1 + walk_latency
+/// + mem_latency + compute_delay` cycles after the pop.
+const WALK_LANE: usize = 1;
+
 /// The GPU engine: owns the [`Gmmu`] and executes kernels on it.
 ///
 /// Kernels run to completion one after another, modelling the
@@ -118,7 +126,7 @@ pub struct Engine {
     /// Per-page generation counters + TLB holder sets, replacing the
     /// all-SM invalidate broadcast on page eviction.
     shootdown: ShootdownDirectory,
-    /// Warp event calendar, reused (empty) across kernel launches.
+    /// Warp event queue, reused (empty) across kernel launches.
     queue: EventQueue<usize>,
     /// Flattened access streams of the running kernel; storage reused
     /// across launches.
@@ -347,7 +355,7 @@ impl Engine {
                     self.complete_access(access, done, w);
                     warps[w].current = None;
                     self.queue
-                        .push_keyed(done + self.cfg.compute_delay, rank, w);
+                        .push_lane(HIT_LANE, done + self.cfg.compute_delay, rank, w);
                     continue;
                 }
             }
@@ -359,7 +367,7 @@ impl Engine {
                     self.complete_access(access, done, w);
                     warps[w].current = None;
                     self.queue
-                        .push_keyed(done + self.cfg.compute_delay, rank, w);
+                        .push_lane(HIT_LANE, done + self.cfg.compute_delay, rank, w);
                 }
                 TlbLookup::Miss => {
                     let walk_latency = match &mut self.walker {
@@ -409,7 +417,7 @@ impl Engine {
                         self.complete_access(access, done, w);
                         warps[w].current = None;
                         self.queue
-                            .push_keyed(done + self.cfg.compute_delay, rank, w);
+                            .push_lane(WALK_LANE, done + self.cfg.compute_delay, rank, w);
                     } else {
                         // The lookup above just missed, so the page is
                         // certainly absent: take the no-reprobe fill.
@@ -421,7 +429,7 @@ impl Engine {
                         self.complete_access(access, done, w);
                         warps[w].current = None;
                         self.queue
-                            .push_keyed(done + self.cfg.compute_delay, rank, w);
+                            .push_lane(WALK_LANE, done + self.cfg.compute_delay, rank, w);
                     }
                 }
             }
@@ -440,7 +448,7 @@ impl Engine {
     /// Everything the simulation's future depends on is captured: the
     /// GMMU (page/frame tables, policy state, PCI-e channel backlog,
     /// RNG streams, statistics), all per-SM TLBs, the shootdown
-    /// directory, the walk-cache model, the calendar event queue, the
+    /// directory, the walk-cache model, the event queue, the
     /// clock, and the trace buffer. Per-warp arena cursors are kernel-
     /// local (the access arena is recompiled per launch), which is why
     /// snapshots are only legal at a launch boundary.
@@ -523,8 +531,9 @@ impl Engine {
                 self.cfg.num_sms
             )));
         }
+        let page_bound = self.gmmu.allocations().page_bound();
         self.tlbs = (0..num_tlbs)
-            .map(|_| Tlb::load_state(r))
+            .map(|_| Tlb::load_state(r, page_bound))
             .collect::<Result<_, _>>()?;
         self.shootdown = ShootdownDirectory::load_state(r)?;
         if self.shootdown.num_units() != self.cfg.num_sms {
@@ -551,7 +560,9 @@ impl Engine {
         }
         self.trace = if r.get_bool()? {
             let n = r.get_usize()?;
-            let mut trace = Vec::with_capacity(n);
+            // Every record takes at least a byte: a count the image
+            // cannot hold fails on the read below, not on the reserve.
+            let mut trace = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 trace.push(TraceEvent {
                     cycle: Cycle::new(r.get_u64()?),
@@ -1485,5 +1496,26 @@ mod tests {
                 ..GpuConfig::default()
             },
         );
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_trace_count_the_image_cannot_hold() {
+        let (mut e, base) = engine_with(UvmConfig::default(), Bytes::mib(1));
+        e.run_kernel(KernelSpec::new("k").with_block(seq_reads(base, 8)));
+        let mut w = uvm_types::codec::ByteWriter::new();
+        e.save_state(&mut w);
+        // A trace-off image ends with the trace flag; claim a 2^40-event
+        // trace instead.
+        let mut image = w.into_bytes();
+        assert_eq!(image.pop(), Some(0), "trace flag is the last byte");
+        let mut tail = uvm_types::codec::ByteWriter::new();
+        tail.put_bool(true);
+        tail.put_usize(1 << 40);
+        image.extend(tail.into_bytes());
+        let (mut fresh, _) = engine_with(UvmConfig::default(), Bytes::mib(1));
+        let err = fresh
+            .load_state(&mut uvm_types::codec::ByteReader::new(&image))
+            .unwrap_err();
+        assert!(matches!(err, uvm_core::CheckpointError::Codec(_)), "{err}");
     }
 }

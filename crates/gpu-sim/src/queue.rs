@@ -1,48 +1,44 @@
-//! Calendar-based event queue for the engine's warp scheduler.
+//! Lane-and-heap event queue for the engine's warp scheduler.
 //!
-//! The engine's event stream is near-monotone: pops advance cycle time,
-//! and every push lands at or after the last popped cycle, almost
-//! always within a few hundred cycles (TLB-hit latency) with a 1-in-N
-//! tail at the far-fault latency (~66 k cycles). A binary heap pays
-//! O(log n) per operation and compares `(Cycle, seq)` tuples all the
-//! way down; this calendar (ladder) queue instead hashes each event to
-//! a time bucket — push is O(1) amortised, and pop only sorts the one
-//! small bucket currently being drained.
-//!
-//! Layout: a ring of `n` buckets each spanning `2^shift` cycles
-//! (default 256-cycle buckets, 512 buckets = a 131 k-cycle horizon that
-//! covers the far-fault hop), an occupancy bitmap so advancing to the
-//! next non-empty bucket is a word scan, and an overflow min-heap for
-//! events beyond the horizon, migrated into the ring as the calendar
-//! advances. The bucket being drained is kept sorted descending in
-//! `cur` and popped from the back; same-bucket pushes insert in order.
+//! Almost every event the engine queues is a fixed-latency hop from
+//! the event it just popped: a TLB hit completes `1 + mem_latency +
+//! compute_delay` cycles later, a resident TLB miss `1 + walk_latency +
+//! mem_latency + compute_delay` later. Pops come out in ascending
+//! `(cycle, key)` order and each hop re-pushes the popped warp's key,
+//! so the pushes of one hop arrive already sorted: a FIFO lane per hop
+//! holds them, and a push only compares against its lane's tail.
+//! Everything else — far-fault replays, in-flight waits, block
+//! dispatch, FIFO [`push`](EventQueue::push), and any lane push that
+//! would land before its lane's tail (e.g. under a variable-latency
+//! radix walk) — goes to one binary heap. A pop takes the least
+//! `(cycle, key)` among the lane heads and the heap top.
 //!
 //! Ordering contract (the engine's schedule depends on it): events pop
-//! in ascending `(cycle, push order)` — ties on cycle break FIFO, with
-//! the sequence number assigned internally at push. This is exactly the
-//! order `BinaryHeap<Reverse<(Cycle, u64, T)>>` produced, which the
-//! differential test in `tests/properties.rs` pins down.
-//!
-//! Precondition: pushes never precede the last popped cycle (the
-//! engine's event causality). Events pushed earlier than that would
-//! still pop — ordered among the not-yet-popped — but cannot rewind
-//! already-popped history.
+//! in ascending `(cycle, key)`. Keyed pushes supply the key; FIFO
+//! pushes draw an internal sequence number, so their same-cycle ties
+//! pop in push order. Which structure holds an event never changes
+//! when it pops — the differential test in `tests/properties.rs` pins
+//! this against a plain `BinaryHeap<Reverse<(Cycle, u64, T)>>`.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use uvm_types::Cycle;
 
-/// An event beyond the calendar horizon, parked in the overflow heap.
+/// Number of fixed-hop lanes.
+const LANES: usize = 2;
+
+/// A queued event in the heap, ordered so the max-heap yields the
+/// least `(t, key)` first.
 #[derive(Clone, Debug)]
 struct Parked<T> {
     t: Cycle,
-    seq: u64,
+    key: u64,
     payload: T,
 }
 
 impl<T> PartialEq for Parked<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
+        (self.t, self.key) == (other.t, other.key)
     }
 }
 
@@ -50,9 +46,7 @@ impl<T> Eq for Parked<T> {}
 
 impl<T> Ord for Parked<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed so the BinaryHeap (a max-heap) yields the earliest
-        // (t, seq) first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
+        (other.t, other.key).cmp(&(self.t, self.key))
     }
 }
 
@@ -62,8 +56,8 @@ impl<T> PartialOrd for Parked<T> {
     }
 }
 
-/// A monotone priority queue over `(Cycle, FIFO order)`, bucketed by
-/// cycle (calendar queue).
+/// A priority queue over `(Cycle, key)` with [`LANES`](Self::LANES)
+/// sorted FIFO lanes for fixed-latency hops and a heap for the rest.
 ///
 /// # Examples
 ///
@@ -75,32 +69,21 @@ impl<T> PartialOrd for Parked<T> {
 /// q.push(Cycle::new(10), "late");
 /// q.push(Cycle::new(5), "early");
 /// q.push(Cycle::new(5), "early-second");
+/// q.push_lane(0, Cycle::new(7), 9, "hop");
 /// assert_eq!(q.pop(), Some((Cycle::new(5), "early")));
 /// assert_eq!(q.pop(), Some((Cycle::new(5), "early-second")));
+/// assert_eq!(q.pop(), Some((Cycle::new(7), "hop")));
 /// assert_eq!(q.pop(), Some((Cycle::new(10), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventQueue<T> {
-    /// Ring of future buckets; slot `b % n` holds bucket `b` for
-    /// `cur_bucket < b <= cur_bucket + n`. Unsorted.
-    buckets: Vec<Vec<(Cycle, u64, T)>>,
-    /// One bit per ring slot: slot non-empty.
-    occupied: Vec<u64>,
-    /// The bucket currently being drained, sorted descending by
-    /// `(t, seq)` and popped from the back.
-    cur: Vec<(Cycle, u64, T)>,
-    /// Bucket number `cur` drains (`t >> shift`).
-    cur_bucket: u64,
-    /// Events beyond the ring horizon.
-    overflow: BinaryHeap<Parked<T>>,
-    /// Events currently in `buckets` (not `cur`, not `overflow`).
-    ring_len: usize,
-    /// Next push sequence number (FIFO tiebreak).
+    /// Fixed-hop lanes, each sorted ascending by `(t, key)`.
+    lanes: [VecDeque<(Cycle, u64, T)>; LANES],
+    /// Everything that is not on a lane.
+    heap: BinaryHeap<Parked<T>>,
+    /// Next FIFO sequence number for [`push`](Self::push).
     seq: u64,
-    len: usize,
-    /// log2 of the bucket span in cycles.
-    shift: u32,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -110,183 +93,96 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// A queue with the engine's default geometry: 256-cycle buckets,
-    /// 512-bucket ring (131 k-cycle horizon — past the far-fault hop).
-    pub fn new() -> Self {
-        Self::with_geometry(8, 512)
-    }
+    /// Number of fixed-hop lanes [`push_lane`](Self::push_lane) accepts.
+    pub const LANES: usize = LANES;
 
-    /// A queue with `2^shift`-cycle buckets and an `n_buckets` ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_buckets` is a non-zero multiple of 64 (the
-    /// occupancy bitmap's word size).
-    pub fn with_geometry(shift: u32, n_buckets: usize) -> Self {
-        assert!(
-            n_buckets > 0 && n_buckets.is_multiple_of(64),
-            "ring size must be a non-zero multiple of 64"
-        );
+    /// An empty queue.
+    pub fn new() -> Self {
         EventQueue {
-            buckets: (0..n_buckets).map(|_| Vec::new()).collect(),
-            occupied: vec![0; n_buckets / 64],
-            cur: Vec::new(),
-            cur_bucket: 0,
-            overflow: BinaryHeap::new(),
-            ring_len: 0,
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            heap: BinaryHeap::new(),
             seq: 0,
-            len: 0,
-            shift,
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// `true` when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// Queues `payload` at cycle `t`. Events at the same cycle pop in
     /// push order.
     pub fn push(&mut self, t: Cycle, payload: T) {
-        let seq = self.seq;
+        let key = self.seq;
         self.seq += 1;
-        self.push_with(t, seq, payload);
+        self.push_keyed(t, key, payload);
     }
 
     /// Queues `payload` at cycle `t` with a caller-supplied tiebreak
     /// `key` in place of the internal FIFO sequence number: same-cycle
     /// events pop in ascending key order regardless of push order.
     ///
-    /// The engine uses the warp index as the key, which makes the
-    /// schedule a pure function of `(cycle, warp)` — re-pushing an
+    /// The engine uses the warp's dispatch rank as the key, which makes
+    /// the schedule a pure function of `(cycle, warp)` — re-pushing an
     /// event after a speculative rollback reproduces its exact queue
     /// position, which the internal sequence number cannot. Callers
     /// must not queue two live events with equal `(t, key)`; their
-    /// relative order would fall back to insertion order.
+    /// relative order is unspecified.
     pub fn push_keyed(&mut self, t: Cycle, key: u64, payload: T) {
-        self.push_with(t, key, payload);
+        self.heap.push(Parked { t, key, payload });
     }
 
-    fn push_with(&mut self, t: Cycle, seq: u64, payload: T) {
-        self.len += 1;
-        let bucket = t.index() >> self.shift;
-        if bucket <= self.cur_bucket {
-            // The bucket being drained (or, before any pop, the very
-            // first): keep `cur` sorted descending. Insert after equal
-            // `(t, seq)` entries so duplicates keep insertion order.
-            let pos = self.cur.partition_point(|e| (e.0, e.1) > (t, seq));
-            self.cur.insert(pos, (t, seq, payload));
-        } else if bucket - self.cur_bucket <= self.buckets.len() as u64 {
-            self.ring_insert(bucket, (t, seq, payload));
-        } else {
-            self.overflow.push(Parked { t, seq, payload });
+    /// [`push_keyed`](Self::push_keyed) onto fixed-hop lane `lane`.
+    /// The lane takes the event when it sorts at or after the lane's
+    /// tail — always the case for a constant hop from the popped
+    /// event's `(cycle, key)` — and the heap takes it otherwise, so
+    /// the pop order is the same either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= Self::LANES`.
+    pub fn push_lane(&mut self, lane: usize, t: Cycle, key: u64, payload: T) {
+        let lane = &mut self.lanes[lane];
+        match lane.back() {
+            Some(&(bt, bk, _)) if (t, key) < (bt, bk) => self.push_keyed(t, key, payload),
+            _ => lane.push_back((t, key, payload)),
         }
     }
 
     /// The `(cycle, key)` of the earliest queued event without
-    /// removing it (`&mut` because the calendar may need to advance to
-    /// the next occupied bucket — work the following [`pop`](Self::pop)
-    /// then skips). The sharded engine's cooperative scheduler peeks
+    /// removing it. The sharded engine's cooperative scheduler peeks
     /// every shard to find the globally earliest event.
-    pub fn peek_key(&mut self) -> Option<(Cycle, u64)> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
-        }
-        self.cur.last().map(|&(t, seq, _)| (t, seq))
+    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
+        self.earliest().map(|(_, t, key)| (t, key))
     }
 
     /// Removes and returns the earliest `(cycle, payload)`.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        if self.cur.is_empty() && !self.refill() {
-            return None;
+        let (src, _, _) = self.earliest()?;
+        match self.lanes.get_mut(src) {
+            Some(lane) => lane.pop_front().map(|(t, _, payload)| (t, payload)),
+            None => self.heap.pop().map(|p| (p.t, p.payload)),
         }
-        let (t, _seq, payload) = self.cur.pop().expect("refill produced an event");
-        self.len -= 1;
-        Some((t, payload))
     }
 
-    /// Drops an event into its ring slot and marks it occupied.
-    fn ring_insert(&mut self, bucket: u64, event: (Cycle, u64, T)) {
-        let slot = (bucket % self.buckets.len() as u64) as usize;
-        self.buckets[slot].push(event);
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.ring_len += 1;
-    }
-
-    /// Advances the calendar to the next non-empty bucket, refilling
-    /// `cur`. Returns `false` when the queue is empty.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.cur.is_empty());
-        if self.len == 0 {
-            return false;
-        }
-        let n = self.buckets.len() as u64;
-        if self.ring_len > 0 {
-            // Earliest bucket = first occupied slot in circular order
-            // after the current one (slot `base` itself can only hold
-            // bucket `cur_bucket + n`, the far end of the horizon).
-            let base = (self.cur_bucket % n) as usize;
-            let slot = self.next_occupied(base);
-            let mut delta = (slot as u64 + n - base as u64) % n;
-            if delta == 0 {
-                delta = n;
-            }
-            self.cur_bucket += delta;
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-            std::mem::swap(&mut self.buckets[slot], &mut self.cur);
-            self.ring_len -= self.cur.len();
-        } else {
-            // Everything lives past the horizon: jump straight to the
-            // earliest parked event's bucket.
-            let top = self.overflow.peek().expect("len > 0 with empty ring");
-            self.cur_bucket = top.t.index() >> self.shift;
-        }
-        // The calendar advanced: parked events may now fit the ring —
-        // or `cur` itself. (Overflow events are strictly later than
-        // every ring event, so migration never lands before
-        // `cur_bucket`.)
-        while let Some(top) = self.overflow.peek() {
-            let bucket = top.t.index() >> self.shift;
-            if bucket > self.cur_bucket + n {
-                break;
-            }
-            let Parked { t, seq, payload } = self.overflow.pop().expect("peeked");
-            if bucket == self.cur_bucket {
-                self.cur.push((t, seq, payload));
-            } else {
-                self.ring_insert(bucket, (t, seq, payload));
+    /// The earliest event's source (a lane index, or `LANES` for the
+    /// heap) and `(cycle, key)`.
+    #[inline]
+    fn earliest(&self) -> Option<(usize, Cycle, u64)> {
+        let mut best = self.heap.peek().map(|p| (LANES, p.t, p.key));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(t, key, _)) = lane.front() {
+                if best.is_none_or(|(_, bt, bk)| (t, key) < (bt, bk)) {
+                    best = Some((i, t, key));
+                }
             }
         }
-        self.cur
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-        debug_assert!(!self.cur.is_empty());
-        true
-    }
-
-    /// First occupied ring slot strictly-circularly after `base`
-    /// (wrapping around to `base` itself last). Caller guarantees the
-    /// ring is non-empty.
-    fn next_occupied(&self, base: usize) -> usize {
-        let words = self.occupied.len();
-        let start = (base + 1) % self.buckets.len();
-        let mut word = start / 64;
-        let mut mask = !0u64 << (start % 64);
-        // `words + 1` iterations: the final pass re-checks the first
-        // word without the mask, covering the wrapped-around slots.
-        for _ in 0..=words {
-            let bits = self.occupied[word] & mask;
-            if bits != 0 {
-                return word * 64 + bits.trailing_zeros() as usize;
-            }
-            mask = !0;
-            word = (word + 1) % words;
-        }
-        unreachable!("ring_len > 0 but no occupied slot");
+        best
     }
 }
 
@@ -319,12 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn push_into_draining_bucket_keeps_order() {
+    fn push_between_pops_keeps_order() {
         let mut q = EventQueue::new();
         q.push(Cycle::new(10), 'a');
         q.push(Cycle::new(12), 'c');
         assert_eq!(q.pop(), Some((Cycle::new(10), 'a')));
-        // Same bucket as the event being drained, earlier than 'c'.
+        // Earlier than the queued 'c'.
         q.push(Cycle::new(11), 'b');
         // Same cycle as 'c' but pushed later: FIFO puts it after.
         q.push(Cycle::new(12), 'd');
@@ -335,28 +231,23 @@ mod tests {
 
     #[test]
     fn far_fault_hop_crosses_the_horizon() {
-        // Tiny geometry: 4-cycle buckets, 64-bucket ring = 256-cycle
-        // horizon, so the paper's 66k-cycle hop exercises overflow.
-        let mut q = EventQueue::with_geometry(2, 64);
+        // A far-fault hop lands ~66 k cycles out, far past the short
+        // hops queued after it.
+        let mut q = EventQueue::new();
         q.push(Cycle::new(0), 'a');
         q.push(Cycle::new(66_645), 'z');
         q.push(Cycle::new(100), 'b');
         assert_eq!(q.pop(), Some((Cycle::new(0), 'a')));
         assert_eq!(q.pop(), Some((Cycle::new(100), 'b')));
-        // Queue jumps straight to the parked event.
         assert_eq!(q.pop(), Some((Cycle::new(66_645), 'z')));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn slot_aliasing_at_the_horizon_edge() {
-        // bucket and bucket + n share a ring slot; both orders must
-        // survive. 4-cycle buckets, 64 buckets: cycles 0 and 256 alias.
-        let mut q = EventQueue::with_geometry(2, 64);
+    fn far_event_pushed_before_a_near_one_pops_second() {
+        let mut q = EventQueue::new();
         q.push(Cycle::new(4), "a");
         assert_eq!(q.pop(), Some((Cycle::new(4), "a")));
-        // Now cur_bucket = 1; slot 1 is the horizon's far edge
-        // (bucket 65 = cycle 260..264).
         q.push(Cycle::new(261), "far");
         q.push(Cycle::new(8), "near");
         assert_eq!(q.pop(), Some((Cycle::new(8), "near")));
@@ -365,11 +256,10 @@ mod tests {
 
     #[test]
     fn drain_and_restart_much_later() {
-        let mut q = EventQueue::with_geometry(2, 64);
+        let mut q = EventQueue::new();
         q.push(Cycle::new(1), 'a');
         assert_eq!(q.pop(), Some((Cycle::new(1), 'a')));
         assert_eq!(q.pop(), None);
-        // Restart far past the old horizon.
         q.push(Cycle::new(1_000_000), 'b');
         q.push(Cycle::new(1_000_000), 'c');
         assert_eq!(q.pop(), Some((Cycle::new(1_000_000), 'b')));
@@ -392,9 +282,9 @@ mod tests {
     #[test]
     fn keyed_pushes_are_reproducible_across_draining_and_overflow() {
         // The same (t, key) set pops identically no matter the push
-        // order or which structure (cur / ring / overflow) each entry
-        // landed in — the property the sharded engine's rollback
-        // re-pushes rely on.
+        // order or which structure (lane or heap) each entry landed in
+        // — the property the sharded engine's rollback re-pushes rely
+        // on.
         let events: &[(u64, u64, u32)] = &[
             (10, 2, 0),
             (10, 0, 1),
@@ -404,10 +294,10 @@ mod tests {
             (66_645, 1, 5),
         ];
         let drain = |order: &[usize]| {
-            let mut q = EventQueue::with_geometry(2, 64);
-            for &i in order {
+            let mut q = EventQueue::new();
+            for (n, &i) in order.iter().enumerate() {
                 let (t, k, v) = events[i];
-                q.push_keyed(Cycle::new(t), k, v);
+                q.push_lane(n % 2, Cycle::new(t), k, v);
             }
             let mut out = Vec::new();
             while let Some(e) = q.pop() {
@@ -423,9 +313,24 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_lane_push_falls_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.push_lane(0, Cycle::new(50), 1, 'c');
+        // Earlier than the lane's tail: must still pop first.
+        q.push_lane(0, Cycle::new(40), 2, 'a');
+        // Same cycle as the tail, smaller key: also before it.
+        q.push_lane(0, Cycle::new(50), 0, 'b');
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_key(), Some((Cycle::new(40), 2)));
+        assert_eq!(q.pop(), Some((Cycle::new(40), 'a')));
+        assert_eq!(q.pop(), Some((Cycle::new(50), 'b')));
+        assert_eq!(q.pop(), Some((Cycle::new(50), 'c')));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn matches_binary_heap_on_random_churn() {
         use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
 
         // Deterministic xorshift stream driving both queues through an
         // engine-like near-monotone workload.
@@ -436,7 +341,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let mut q = EventQueue::with_geometry(3, 64);
+        let mut q = EventQueue::new();
         let mut h: BinaryHeap<Reverse<(Cycle, u64, u32)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;

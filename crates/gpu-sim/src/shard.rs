@@ -3,7 +3,7 @@
 //!
 //! The serial engine (DESIGN.md §7) interleaves all 28 SMs through one
 //! event loop. Sharded mode partitions the SMs — warp cursors, TLBs,
-//! and the event-calendar slice they feed — across N [`Shard`]s that
+//! and the event-queue slice they feed — across N [`Shard`]s that
 //! simulate SM-local work independently, rendezvousing at the events
 //! the GMMU serializes: far-faults (and the prefetch admissions,
 //! evictions, and shootdowns they trigger) plus watchdog trips.
@@ -13,7 +13,7 @@
 //! Every event is identified by its *packed key*
 //! `(cycle << 16) | rank`, where `rank` is the warp's SM-major
 //! dispatch rank — exactly the `(cycle, key)` order the serial
-//! engine's calendar pops in. Each live warp has one outstanding
+//! engine's queue pops in. Each live warp has one outstanding
 //! event, so packed keys are globally unique, and "the schedule is a
 //! pure function of (cycle, warp)" carries over verbatim: shards
 //! process their own slice in ascending packed order, and the courier
@@ -221,7 +221,7 @@ pub(crate) struct EpochCtx<'a> {
 }
 
 /// One SM partition: a contiguous SM range with its warps, TLBs,
-/// event-calendar slice, and speculation journal.
+/// event-queue slice, and speculation journal.
 pub(crate) struct Shard {
     /// First owned (global) SM.
     sm_lo: usize,
@@ -232,7 +232,7 @@ pub(crate) struct Shard {
     /// popped from the back in dispatch order.
     sm_queues: Vec<Vec<usize>>,
     active: Vec<usize>,
-    /// This shard's slice of the event calendar. Payload: shard-local
+    /// This shard's slice of the event queue. Payload: shard-local
     /// warp index + push nonce (0 = committed push, never cancelled).
     queue: EventQueue<(usize, u64)>,
     /// Tombstoned nonces of rolled-back speculative pushes.

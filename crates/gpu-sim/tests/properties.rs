@@ -122,63 +122,96 @@ fn engine_is_deterministic() {
     }
 }
 
-/// Same-schedule property: the calendar [`EventQueue`] pops events in
-/// the exact order of the `BinaryHeap<Reverse<(Cycle, seq, payload)>>`
-/// it replaced, over randomized engine-like event logs — near-monotone
-/// pushes with same-cycle bursts (FIFO ties), TLB-hit hops, far-fault
-/// hops past the ring horizon, full drains, and cold restarts.
+/// Same-schedule property: the lane-and-heap [`EventQueue`] pops
+/// events in the exact order of a plain
+/// `BinaryHeap<Reverse<(Cycle, key, payload)>>`, over randomized
+/// engine-like event logs: warps dispatched with same-cycle keyed ties
+/// in shuffled rank order, fixed-hop lane pushes (the engine's TLB-hit
+/// and walk hops), variable-hop and short lane pushes that land before
+/// their lane's tail and must fall back to the heap, far-fault keyed
+/// pushes, FIFO `push` noise, full drains, and cold restarts.
 #[test]
 fn event_queue_matches_binary_heap_order() {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    /// Keyed events carry `KEYED + rank`, clear of the FIFO sequence
+    /// numbers `push` draws from zero, so no two live events tie on
+    /// `(cycle, key)`.
+    const KEYED: u64 = 1 << 32;
+    /// Payloads at or above this are FIFO noise, not warps.
+    const FIFO: u64 = 1 << 20;
+
     let mut rng = SmallRng::seed_from_u64(0x69b4);
-    for case in 0..CASES {
-        // Vary geometry so bucket spans and horizons all get exercised,
-        // including ones far smaller than the engine's default.
-        let shift = rng.gen_range(0u64..9) as u32;
-        let n_buckets = 64 * rng.gen_range(1usize..5);
-        let mut q: EventQueue<u64> = EventQueue::with_geometry(shift, n_buckets);
+    for case in 0..CASES * 8 {
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut h: BinaryHeap<Reverse<(Cycle, u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
+        let mut fifo_id = FIFO;
         let mut now = 0u64;
-        let mut id = 0u64;
-        let steps = rng.gen_range(1usize..2_000);
-        for step in 0..steps {
-            if rng.gen_bool(0.5) && !h.is_empty() {
-                let Reverse((t, _, v)) = h.pop().expect("non-empty");
+        // Per-case hop constants, like one machine configuration.
+        let hops = [rng.gen_range(0u64..400), rng.gen_range(0u64..800)];
+        for kernel in 0..rng.gen_range(1usize..4) {
+            let start = now + rng.gen_range(0u64..1_000_000);
+            let warps = rng.gen_range(1u64..64);
+            let mut ranks: Vec<u64> = (0..warps).collect();
+            for i in (1..ranks.len()).rev() {
+                ranks.swap(i, rng.gen_range(0..i + 1));
+            }
+            for &w in &ranks {
+                q.push_keyed(Cycle::new(start), KEYED + w, w);
+                h.push(Reverse((Cycle::new(start), KEYED + w, w)));
+            }
+            let mut live = warps;
+            let mut step = 0usize;
+            while let Some(Reverse((t, key, v))) = h.pop() {
                 assert_eq!(
                     q.pop(),
                     Some((t, v)),
-                    "case {case} (shift {shift}, {n_buckets} buckets) \
-                     diverged at step {step}"
+                    "case {case} kernel {kernel} diverged at step {step}"
                 );
                 now = t.index();
-            } else {
-                // Push 1–4 events at or after the last popped cycle:
-                // same-cycle ties, short hops, and horizon-crossing
-                // fault hops, like the engine's latency mix.
-                for _ in 0..rng.gen_range(1u64..5) {
-                    let hop = match rng.gen_range(0u32..8) {
-                        0 => 0,
-                        1 => 66_645,
-                        2 => rng.gen_range(0u64..1_000_000),
-                        _ => rng.gen_range(0u64..400),
-                    };
-                    let t = Cycle::new(now + hop);
-                    q.push(t, id);
-                    h.push(Reverse((t, seq, id)));
+                step += 1;
+                if rng.gen_range(0u32..8) == 0 {
+                    let t = Cycle::new(now + rng.gen_range(0u64..500));
+                    q.push(t, fifo_id);
+                    h.push(Reverse((t, seq, fifo_id)));
                     seq += 1;
-                    id += 1;
+                    fifo_id += 1;
                 }
+                if v >= FIFO {
+                    continue;
+                }
+                // A warp event: re-push its key as the engine does.
+                let (lane, hop) = match rng.gen_range(0u32..12) {
+                    0..=4 => (Some(0), hops[0]),
+                    5..=7 => (Some(1), hops[1]),
+                    // Variable walk latency on the walk lane.
+                    8 => (Some(1), rng.gen_range(0u64..2 * hops[1] + 1)),
+                    // A short hop on either lane: usually before the
+                    // lane's tail.
+                    9 => (Some(rng.gen_range(0usize..2)), rng.gen_range(0u64..50)),
+                    10 => (None, 66_645 + rng.gen_range(0u64..1_000)),
+                    _ => {
+                        if live > 1 || step > 2_000 {
+                            live -= 1;
+                            continue;
+                        }
+                        (Some(0), hops[0])
+                    }
+                };
+                let t = Cycle::new(now + hop);
+                match lane {
+                    Some(lane) => q.push_lane(lane, t, key, v),
+                    None => q.push_keyed(t, key, v),
+                }
+                h.push(Reverse((t, key, v)));
+                assert_eq!(q.len(), h.len());
+                assert_eq!(q.peek_key(), h.peek().map(|Reverse((t, k, _))| (*t, *k)));
             }
-            assert_eq!(q.len(), h.len());
+            assert_eq!(q.pop(), None);
+            assert!(q.is_empty());
         }
-        while let Some(Reverse((t, _, v))) = h.pop() {
-            assert_eq!(q.pop(), Some((t, v)), "case {case} diverged in drain");
-        }
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }
 

@@ -3,9 +3,15 @@
 //! The paper models a fully associative TLB with single-cycle lookup
 //! (Sec. 6.1, after Pichai et al.); misses are relayed to the GMMU for
 //! a page-table walk. Architecturally the model is LRU-replaced and
-//! fully associative; the *implementation* here is a hash-indexed
-//! intrusive LRU list, so `lookup`, `fill`, and `invalidate` are all
-//! O(1) instead of the O(capacity) scans of a naive recency array.
+//! fully associative; the *implementation* here is a slot slab on an
+//! intrusive LRU list, found through a dense page-indexed slot table,
+//! so `lookup`, `fill`, and `invalidate` are all O(1) and hash-free
+//! instead of the O(capacity) scans of a naive recency array.
+//!
+//! The slot table holds one `u16` per page index up to the highest
+//! page ever filled, growing lazily. The GMMU's 2 MB-aligned bump
+//! allocator starts at address zero, so the pages a simulation touches
+//! form a small dense range and the table stays a few bytes per page.
 //!
 //! Two API layers share the same structure:
 //!
@@ -132,6 +138,9 @@ pub enum TlbOp {
 /// Index sentinel: no slot.
 const NIL: u32 = u32::MAX;
 
+/// Slot-table sentinel: the page is not cached.
+const NO_SLOT: u16 = u16::MAX;
+
 /// One cached translation, threaded on the intrusive recency list.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
@@ -144,7 +153,8 @@ struct Slot {
 }
 
 /// A fully associative, LRU-replaced TLB with O(1) lookup, fill, and
-/// invalidate (hash index + intrusive doubly-linked recency list).
+/// invalidate (dense page → slot table + intrusive doubly-linked
+/// recency list).
 ///
 /// # Examples
 ///
@@ -159,8 +169,9 @@ struct Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    /// page → slot index.
-    index: HashMap<PageId, u32, FxBuildHasher>,
+    /// Page index → slot id, `NO_SLOT` when absent; grown lazily to
+    /// the highest page filled.
+    index: Vec<u16>,
     slots: Vec<Slot>,
     /// Recycled slot indices.
     free: Vec<u32>,
@@ -184,15 +195,25 @@ pub struct Tlb {
 }
 
 impl Tlb {
+    /// Largest supported capacity: slot ids must fit the `u16` slot
+    /// table below its sentinel.
+    pub const MAX_CAPACITY: usize = NO_SLOT as usize;
+
     /// Creates an empty TLB holding at most `capacity` translations.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds
+    /// [`MAX_CAPACITY`](Self::MAX_CAPACITY).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be non-zero");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "TLB capacity {capacity} exceeds the {} slot ids the u16 slot table holds",
+            Self::MAX_CAPACITY
+        );
         Tlb {
-            index: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            index: Vec::new(),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             lru: NIL,
@@ -223,8 +244,8 @@ impl Tlb {
     ///
     /// [`ShootdownDirectory::bump`]: crate::ShootdownDirectory::bump
     pub fn lookup_gen(&mut self, page: PageId, generation: u32) -> TlbLookup {
-        match self.index.get(&page) {
-            Some(&slot) => {
+        match self.slot_of(page) {
+            Some(slot) => {
                 if self.slots[slot as usize].generation == generation {
                     self.touch(slot);
                     self.hits += 1;
@@ -232,7 +253,7 @@ impl Tlb {
                 } else {
                     // Stale translation: logically absent since the
                     // generation bump.
-                    self.index.remove(&page);
+                    self.clear_slot(page);
                     self.unlink(slot);
                     self.free.push(slot);
                     self.misses += 1;
@@ -258,7 +279,7 @@ impl Tlb {
     /// page, if any. Filling an already-present page refreshes recency
     /// and re-stamps it.
     pub fn fill_gen(&mut self, page: PageId, generation: u32) -> Option<PageId> {
-        if let Some(&slot) = self.index.get(&page) {
+        if let Some(slot) = self.slot_of(page) {
             self.slots[slot as usize].generation = generation;
             self.touch(slot);
             return None;
@@ -279,7 +300,7 @@ impl Tlb {
     /// [`lookup_gen`]: Self::lookup_gen
     pub fn fill_after_miss(&mut self, page: PageId, generation: u32) -> Option<PageId> {
         debug_assert!(
-            !self.index.contains_key(&page),
+            self.slot_of(page).is_none(),
             "fill_after_miss({page}) but the page is cached; use fill"
         );
         self.insert_new(page, generation)
@@ -292,8 +313,9 @@ impl Tlb {
     ///
     /// [`ShootdownDirectory`]: crate::ShootdownDirectory
     pub fn invalidate(&mut self, page: PageId) -> bool {
-        match self.index.remove(&page) {
+        match self.slot_of(page) {
             Some(slot) => {
+                self.clear_slot(page);
                 self.unlink(slot);
                 self.free.push(slot);
                 true
@@ -337,15 +359,15 @@ impl Tlb {
     /// [`lookup_gen`](Self::lookup_gen) that also returns the inverse
     /// record for [`undo`](Self::undo).
     pub fn lookup_gen_logged(&mut self, page: PageId, generation: u32) -> (TlbLookup, TlbOp) {
-        match self.index.get(&page) {
-            Some(&slot) => {
+        match self.slot_of(page) {
+            Some(slot) => {
                 let Slot { prev, next, .. } = self.slots[slot as usize];
                 if self.slots[slot as usize].generation == generation {
                     self.touch(slot);
                     self.hits += 1;
                     (TlbLookup::Hit, TlbOp::LookupHit { slot, prev, next })
                 } else {
-                    self.index.remove(&page);
+                    self.clear_slot(page);
                     self.unlink(slot);
                     self.free.push(slot);
                     self.misses += 1;
@@ -402,10 +424,10 @@ impl Tlb {
         generation: u32,
     ) -> (Option<PageId>, TlbOp) {
         debug_assert!(
-            !self.index.contains_key(&page),
+            self.slot_of(page).is_none(),
             "fill_after_miss_logged({page}) but the page is cached; use fill"
         );
-        if self.index.len() == self.capacity {
+        if self.len() == self.capacity {
             let slot = self.lru;
             let Slot {
                 page: victim,
@@ -413,13 +435,13 @@ impl Tlb {
                 next,
                 ..
             } = self.slots[slot as usize];
-            self.index.remove(&victim);
+            self.clear_slot(victim);
             self.unlink(slot);
             let s = &mut self.slots[slot as usize];
             s.page = page;
             s.generation = generation;
             self.push_mru(slot);
-            self.index.insert(page, slot);
+            self.set_slot(page, slot);
             (
                 Some(victim),
                 TlbOp::FillEvict {
@@ -435,7 +457,7 @@ impl Tlb {
             s.page = page;
             s.generation = generation;
             self.push_mru(slot);
-            self.index.insert(page, slot);
+            self.set_slot(page, slot);
             (None, TlbOp::FillFree { page, slot })
         } else {
             self.slots.push(Slot {
@@ -446,7 +468,7 @@ impl Tlb {
             });
             let slot = (self.slots.len() - 1) as u32;
             self.push_mru(slot);
-            self.index.insert(page, slot);
+            self.set_slot(page, slot);
             (None, TlbOp::FillGrow { page })
         }
     }
@@ -474,7 +496,7 @@ impl Tlb {
                 let freed = self.free.pop();
                 debug_assert_eq!(freed, Some(slot), "undo out of order");
                 self.insert_between(slot, prev, next);
-                self.index.insert(page, slot);
+                self.set_slot(page, slot);
             }
             TlbOp::LookupAbsent => {
                 self.misses -= 1;
@@ -486,22 +508,22 @@ impl Tlb {
                 slot,
                 next,
             } => {
-                self.index.remove(&page);
+                self.clear_slot(page);
                 self.unlink(slot);
                 let s = &mut self.slots[slot as usize];
                 s.page = victim;
                 s.generation = victim_generation;
                 // The victim sat at the LRU end (prev = NIL).
                 self.insert_between(slot, NIL, next);
-                self.index.insert(victim, slot);
+                self.set_slot(victim, slot);
             }
             TlbOp::FillFree { page, slot } => {
-                self.index.remove(&page);
+                self.clear_slot(page);
                 self.unlink(slot);
                 self.free.push(slot);
             }
             TlbOp::FillGrow { page } => {
-                self.index.remove(&page);
+                self.clear_slot(page);
                 let slot = (self.slots.len() - 1) as u32;
                 self.unlink(slot);
                 self.slots.pop();
@@ -533,12 +555,12 @@ impl Tlb {
     /// Current number of cached translations (stale-but-unreclaimed
     /// entries included, until a lookup or fill recycles them).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// `true` if no translations are cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime (hit, miss) counts. The counters survive
@@ -559,7 +581,7 @@ impl Tlb {
     /// order, which reproduces the observable state exactly.
     pub fn save_state(&self, w: &mut uvm_types::codec::ByteWriter) {
         w.put_usize(self.capacity);
-        w.put_usize(self.index.len());
+        w.put_usize(self.len());
         let mut slot = self.lru;
         while slot != NIL {
             let s = &self.slots[slot as usize];
@@ -579,28 +601,41 @@ impl Tlb {
     }
 
     /// Rebuilds a TLB from a [`save_state`](Self::save_state) image.
+    /// Every cached page must lie below `page_bound` (the restored
+    /// GMMU's `Allocations::page_bound`): the slot table grows to the
+    /// highest page filled, so an image naming a page beyond every
+    /// allocation is rejected before any table grows.
     pub fn load_state(
         r: &mut uvm_types::codec::ByteReader<'_>,
+        page_bound: u64,
     ) -> Result<Self, uvm_types::codec::CodecError> {
+        use uvm_types::codec::CodecError;
+
         let capacity = r.get_usize()?;
-        if capacity == 0 {
-            return Err(uvm_types::codec::CodecError::BadTag {
+        if capacity == 0 || capacity > Self::MAX_CAPACITY {
+            return Err(CodecError::BadTag {
                 what: "tlb capacity",
-                value: 0,
+                value: capacity as u64,
             });
         }
         let mut tlb = Tlb::new(capacity);
         let n = r.get_usize()?;
         if n > capacity {
-            return Err(uvm_types::codec::CodecError::BadTag {
+            return Err(CodecError::BadTag {
                 what: "tlb entry count",
                 value: n as u64,
             });
         }
         for _ in 0..n {
-            let page = PageId::new(r.get_u64()?);
+            let page = r.get_u64()?;
+            if page >= page_bound {
+                return Err(CodecError::BadTag {
+                    what: "tlb page beyond every allocation",
+                    value: page,
+                });
+            }
             let generation = r.get_u32()?;
-            tlb.fill_gen(page, generation);
+            tlb.fill_gen(PageId::new(page), generation);
         }
         tlb.hits = r.get_u64()?;
         tlb.misses = r.get_u64()?;
@@ -634,13 +669,37 @@ impl Tlb {
         self.huge.iter().map(|(&l, &e)| (l, e))
     }
 
+    /// The slot caching `page`, if any.
+    #[inline]
+    fn slot_of(&self, page: PageId) -> Option<u32> {
+        match self.index.get(page.index() as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(u32::from(slot)),
+            _ => None,
+        }
+    }
+
+    /// Points `page` at `slot`, growing the slot table to cover it.
+    fn set_slot(&mut self, page: PageId, slot: u32) {
+        let i = page.index() as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NO_SLOT);
+        }
+        // Slot ids stay below `capacity <= MAX_CAPACITY`, so they fit.
+        self.index[i] = slot as u16;
+    }
+
+    /// Unindexes a cached `page`.
+    fn clear_slot(&mut self, page: PageId) {
+        self.index[page.index() as usize] = NO_SLOT;
+    }
+
     /// Inserts a page known to be absent, evicting the LRU entry when
     /// at capacity.
     fn insert_new(&mut self, page: PageId, generation: u32) -> Option<PageId> {
-        let (slot, victim) = if self.index.len() == self.capacity {
+        let (slot, victim) = if self.len() == self.capacity {
             let slot = self.lru;
             let victim = self.slots[slot as usize].page;
-            self.index.remove(&victim);
+            self.clear_slot(victim);
             self.unlink(slot);
             (slot, Some(victim))
         } else if let Some(slot) = self.free.pop() {
@@ -658,7 +717,7 @@ impl Tlb {
         s.page = page;
         s.generation = generation;
         self.push_mru(slot);
-        self.index.insert(page, slot);
+        self.set_slot(page, slot);
         victim
     }
 
@@ -1044,5 +1103,35 @@ mod tests {
         assert!(tlb.lookup_huge(LargePageId::new(0), 1));
         assert!(tlb.invalidate_huge(LargePageId::new(0)));
         assert!(!tlb.lookup_huge(LargePageId::new(0), 1));
+    }
+
+    #[test]
+    fn load_state_bounds_pages_and_capacity() {
+        use uvm_types::codec::{ByteReader, ByteWriter, CodecError};
+        let mut tlb = Tlb::new(4);
+        tlb.fill(PageId::new(3));
+        tlb.fill(PageId::new(700));
+        let image = observe(&tlb);
+        // Within the bound: restores to identical bytes.
+        let restored = Tlb::load_state(&mut ByteReader::new(&image), 701).unwrap();
+        assert_eq!(observe(&restored), image);
+        // A page at or past the bound is rejected before the slot
+        // table grows to it.
+        let err = Tlb::load_state(&mut ByteReader::new(&image), 700).unwrap_err();
+        assert!(
+            matches!(err, CodecError::BadTag { value: 700, .. }),
+            "{err}"
+        );
+        // A capacity the u16 slot table cannot index is rejected.
+        let mut w = ByteWriter::new();
+        w.put_usize(Tlb::MAX_CAPACITY + 1);
+        let err = Tlb::load_state(&mut ByteReader::new(&w.into_bytes()), 1).unwrap_err();
+        assert!(matches!(err, CodecError::BadTag { .. }), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn capacity_beyond_u16_slot_ids_rejected() {
+        let _ = Tlb::new(Tlb::MAX_CAPACITY + 1);
     }
 }

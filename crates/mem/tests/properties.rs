@@ -7,6 +7,7 @@ use uvm_mem::{
     FrameAllocator, Mshr, PageTable, ReferenceTlb, RegisterOutcome, ShootdownDirectory, Tlb,
     TlbLookup,
 };
+use uvm_types::codec::{ByteReader, ByteWriter};
 use uvm_types::rng::{Rng, SmallRng};
 use uvm_types::PageId;
 
@@ -82,21 +83,28 @@ fn tlb_counters_account_for_all_lookups() {
     }
 }
 
-/// Differential: the hash-indexed [`Tlb`] agrees with the `VecDeque`
-/// [`ReferenceTlb`] — same hit/miss verdicts, same fill victims, same
-/// invalidate outcomes, same counters — over arbitrary operation
-/// sequences. This is the contract that makes the O(1) structure a
-/// drop-in replacement inside the engine.
+/// Differential: the densely indexed [`Tlb`] agrees with the
+/// `VecDeque` [`ReferenceTlb`] — same hit/miss verdicts, same fill
+/// victims, same invalidate outcomes, same counters — over arbitrary
+/// operation sequences on sparse page indices up to 2^20, and a
+/// `save_state` → `load_state` round trip restores identical bytes and
+/// identical future verdicts. This is the contract that makes the O(1)
+/// structure a drop-in replacement inside the engine.
 #[test]
 fn tlb_matches_reference_implementation() {
+    const PAGE_BOUND: u64 = 1 << 20;
     let mut rng = SmallRng::seed_from_u64(0x3e36);
     for _ in 0..CASES {
         let cap = rng.gen_range(1usize..48);
         let mut fast = Tlb::new(cap);
         let mut reference = ReferenceTlb::new(cap);
+        // A pool of 96 sparse pages so operations revisit pages.
+        let pool: Vec<PageId> = (0..96)
+            .map(|_| PageId::new(rng.gen_range(0u64..PAGE_BOUND)))
+            .collect();
         let n = rng.gen_range(0usize..300);
         for step in 0..n {
-            let p = PageId::new(rng.gen_range(0u64..96));
+            let p = pool[rng.gen_range(0usize..pool.len())];
             match rng.gen_range(0u32..3) {
                 0 => {
                     assert_eq!(
@@ -132,6 +140,28 @@ fn tlb_matches_reference_implementation() {
             assert_eq!(fast.len(), reference.len());
         }
         assert_eq!(fast.hit_miss(), reference.hit_miss());
+
+        let mut w = ByteWriter::new();
+        fast.save_state(&mut w);
+        let image = w.into_bytes();
+        let mut r = ByteReader::new(&image);
+        let mut restored = Tlb::load_state(&mut r, PAGE_BOUND).expect("valid image");
+        r.finish().expect("image fully consumed");
+        let mut again = ByteWriter::new();
+        restored.save_state(&mut again);
+        assert_eq!(again.into_bytes(), image, "round trip changed the image");
+        for step in 0..64 {
+            let p = pool[rng.gen_range(0usize..pool.len())];
+            let verdict = restored.lookup(p);
+            assert_eq!(
+                verdict,
+                fast.lookup(p),
+                "restored lookup({p}) diverged at step {step}"
+            );
+            if verdict == TlbLookup::Miss {
+                assert_eq!(restored.fill_after_miss(p, 0), fast.fill_after_miss(p, 0));
+            }
+        }
     }
 }
 

@@ -99,6 +99,15 @@ const SPILL_VERSION: u64 = 3;
 /// markov/learned prediction chain is capped at `degree` steps.)
 const SIM_REVISION: u64 = 3;
 
+/// [`StableHasher`] digest of the golden fixtures (`tests/fixtures/*.json`,
+/// name and bytes, sorted by name) that [`SIM_REVISION`] produces. The
+/// two move together: a fixture that changes is a behaviour change, so
+/// the revision is bumped and this digest re-pinned beside it. The
+/// `fixtures_match_the_pinned_revision` test fails on a fixture edit
+/// that skips this step.
+#[cfg(test)]
+const FIXTURE_DIGEST: u128 = 0x8e36_5843_b8b2_f7e8_a1bf_7a31_1d00_3cc9;
+
 /// A canonical, process-stable identity of one simulation run.
 ///
 /// Two runs get the same key exactly when they simulate the same
@@ -1338,6 +1347,34 @@ mod tests {
     use super::*;
     use uvm_core::{EvictPolicy, PrefetchPolicy};
     use uvm_workloads::LinearSweep;
+
+    #[test]
+    fn fixtures_match_the_pinned_revision() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+            .expect("fixture directory")
+            .map(|e| e.expect("fixture entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no fixtures under {}", dir.display());
+        let mut h = StableHasher::new();
+        for path in &files {
+            let bytes = std::fs::read(path).expect("fixture bytes");
+            h.write_str(&path.file_name().expect("file name").to_string_lossy());
+            h.write_u64(bytes.len() as u64);
+            h.write_bytes(&bytes);
+        }
+        assert_eq!(
+            h.finish(),
+            FIXTURE_DIGEST,
+            "the {} golden fixtures no longer hash to the digest pinned at \
+             SIM_REVISION {SIM_REVISION} (now {:#034x}): a fixture change is a \
+             behaviour change, so bump SIM_REVISION and re-pin FIXTURE_DIGEST",
+            files.len(),
+            h.finish()
+        );
+    }
 
     fn sweep() -> LinearSweep {
         LinearSweep {
